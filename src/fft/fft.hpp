@@ -4,21 +4,33 @@
 // transforms. Neither FFTW nor MKL is available in this container, so this
 // module implements the transform from scratch (see DESIGN.md §2):
 //
-//  * iterative-recursive mixed-radix Cooley-Tukey for lengths whose factors
-//    are in {2, 3, 4, 5, 7} — this covers every size the pipelines use
-//    (subgrids 8..64 = 2^a*3^b, grids = powers of two);
-//  * Bluestein's chirp-z algorithm as a fallback for arbitrary lengths
-//    (including primes), so the library never rejects a size;
-//  * 2-D transforms composed of row and column passes;
+//  * one batched Stockham (autosort) executor with radix-4/2/3/5/7
+//    butterflies for lengths whose factors are in {2, 3, 5, 7} — every size
+//    the pipelines use (subgrids 8..64 = 2^a*3^b, grids = powers of two,
+//    w-projection screens with factors 5 and 7);
+//  * Bluestein's chirp-z algorithm for every other length (including
+//    primes), run on the same executor, so the library never rejects a
+//    size;
+//  * 2-D transforms as a column pass over blocks of adjacent columns and a
+//    row pass through block transposes;
+//  * the centred transform shift o FFT o shift both pipelines use, and a
+//    process-wide cache of 2-D plans;
 //  * fftshift helpers (the grids keep DC at the center pixel N/2).
+//
+// The executor transforms kLanes sequences side by side. A block holds them
+// split into real and imaginary parts, element-major: element j of lane b
+// sits at re[j * kLanes + b]. Every butterfly's innermost loop runs over the
+// kLanes lanes with explicit re/im arithmetic, so it vectorises in both
+// float and double. Partial blocks are zero-padded to kLanes, so a sequence
+// gets bitwise the same result whichever block and lane it runs in.
 //
 // Conventions: Forward uses exp(-2*pi*i*jk/n), Backward uses exp(+2*pi*i*jk/n);
 // both are UNNORMALIZED. Callers apply 1/N scaling where DESIGN.md §6
 // requires it.
 //
-// The planner precomputes per-level twiddle tables; execution is
-// allocation-free apart from a caller-provided (or thread_local) workspace,
-// which makes the batched subgrid transforms trivially OpenMP-parallel.
+// Execution is allocation-free apart from a caller-provided Workspace of
+// O(n * kLanes) elements, one per thread, which makes the batched subgrid
+// transforms trivially OpenMP-parallel.
 #pragma once
 
 #include <cmath>
@@ -28,6 +40,7 @@
 #include <numbers>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 
 namespace idg::fft {
@@ -37,277 +50,131 @@ enum class Direction {
   Backward,  ///< exp(+2*pi*i*jk/n)
 };
 
-namespace detail {
+/// Sequences the executor transforms side by side (the width of a block).
+inline constexpr std::size_t kLanes = 16;
 
-/// Returns the smallest supported radix that divides n, or 0 if n has a
-/// prime factor outside {2,3,5,7} (callers then fall back to Bluestein).
-inline int pick_radix(std::size_t n) {
-  // Prefer radix 4 for power-of-two sizes: fewer levels, fewer twiddles.
-  if (n % 4 == 0) return 4;
-  if (n % 2 == 0) return 2;
-  if (n % 3 == 0) return 3;
-  if (n % 5 == 0) return 5;
-  if (n % 7 == 0) return 7;
-  return 0;
-}
-
-inline bool is_smooth(std::size_t n) {
-  for (int p : {2, 3, 5, 7})
-    while (n % static_cast<std::size_t>(p) == 0) n /= static_cast<std::size_t>(p);
-  return n == 1;
-}
-
-inline std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p *= 2;
-  return p;
-}
-
-}  // namespace detail
-
-template <typename T>
-class Plan;
-
-/// Scratch memory reused across executions of one plan. One Workspace per
-/// thread; it grows on demand and is never shrunk.
+/// Scratch memory reused across executions. One Workspace per thread; it
+/// grows on demand and is never shrunk.
 template <typename T>
 class Workspace {
  public:
-  std::complex<T>* get(std::size_t size) {
+  T* get(std::size_t size) {
     if (buffer_.size() < size) buffer_.resize(size);
     return buffer_.data();
   }
 
  private:
-  std::vector<std::complex<T>> buffer_;
+  AlignedVector<T> buffer_;
 };
 
+template <typename T>
+class Plan2D;
+
 /// One-dimensional complex-to-complex FFT plan of fixed length and
-/// direction. Thread-safe for concurrent execute() calls as long as each
+/// direction. Thread-safe for concurrent execute calls as long as each
 /// thread passes its own Workspace.
 template <typename T>
 class Plan {
  public:
-  Plan(std::size_t n, Direction direction) : n_(n), direction_(direction) {
-    IDG_CHECK(n >= 1, "FFT length must be positive");
-    if (detail::is_smooth(n)) {
-      build_mixed_radix();
-    } else {
-      build_bluestein();
-    }
-  }
+  Plan(std::size_t n, Direction direction);
 
   std::size_t size() const { return n_; }
   Direction direction() const { return direction_; }
 
   /// Transforms n elements read from `in` with stride `in_stride` into the
-  /// contiguous output `out`. `in` and `out` must not alias unless
-  /// in == out with in_stride == 1 is desired — use execute_inplace then.
+  /// contiguous output `out`.
   void execute(const std::complex<T>* in, std::size_t in_stride,
-               std::complex<T>* out, Workspace<T>& ws) const {
-    if (bluestein_) {
-      execute_bluestein(in, in_stride, out, ws);
-    } else {
-      std::complex<T>* scratch = ws.get(2 * n_);
-      recurse(in, in_stride, out, n_, 0, scratch);
-    }
-  }
+               std::complex<T>* out, Workspace<T>& ws) const;
 
   /// In-place contiguous transform.
-  void execute_inplace(std::complex<T>* data, Workspace<T>& ws) const {
-    if (bluestein_) {
-      // Bluestein pulls from `ws` itself; stage the output in a buffer that
-      // cannot be invalidated by those ws.get() calls.
-      static thread_local std::vector<std::complex<T>> tmp;
-      tmp.resize(n_);
-      execute(data, 1, tmp.data(), ws);
-      std::copy(tmp.begin(), tmp.end(), data);
-    } else {
-      std::complex<T>* buf = ws.get(2 * n_);
-      recurse(data, 1, buf, n_, 0, buf + n_);
-      std::copy(buf, buf + n_, data);
-    }
-  }
+  void execute_inplace(std::complex<T>* data, Workspace<T>& ws) const;
 
  private:
-  // --- mixed radix -------------------------------------------------------
+  friend class Plan2D<T>;
 
-  struct Level {
-    int radix;
-    std::size_t n;                        // transform size at this level
-    std::vector<std::complex<T>> twiddle;  // w_n^(j*p), j<radix, p<n/radix
-    std::vector<std::complex<T>> omega;    // w_radix^(j*q), j,q < radix
+  /// Factor applied to every sample as a block is loaded or stored: scale,
+  /// negated for element j of sequence s when checkerboard and j + s is odd.
+  struct Weight {
+    T scale = 1;
+    bool checkerboard = false;
   };
 
-  void build_mixed_radix() {
-    std::size_t n = n_;
-    while (n > 1) {
-      const int r = detail::pick_radix(n);
-      IDG_ASSERT(r != 0, "non-smooth size in mixed-radix path");
-      Level level;
-      level.radix = r;
-      level.n = n;
-      const std::size_t m = n / static_cast<std::size_t>(r);
-      level.twiddle.resize(static_cast<std::size_t>(r) * m);
-      for (int j = 0; j < r; ++j)
-        for (std::size_t p = 0; p < m; ++p)
-          level.twiddle[static_cast<std::size_t>(j) * m + p] =
-              root(n, static_cast<std::size_t>(j) * p);
-      level.omega.resize(static_cast<std::size_t>(r) * r);
-      for (int j = 0; j < r; ++j)
-        for (int q = 0; q < r; ++q)
-          level.omega[static_cast<std::size_t>(j) * r + q] =
-              root(static_cast<std::size_t>(r),
-                   static_cast<std::size_t>(j) * static_cast<std::size_t>(q));
-      levels_.push_back(std::move(level));
-      n = m;
-    }
-  }
+  /// One Stockham pass: its radix r, the length ns the earlier passes
+  /// combined, the twiddles w_{ns*r}^(q*k) at [k * (r-1) + q-1] for k < ns
+  /// and q = 1..r-1, and w_r^i at rot[i] for the radix-3/5/7 butterflies.
+  struct Stage {
+    int radix = 0;
+    std::size_t ns = 0;
+    AlignedVector<T> tw_re, tw_im;
+    T rot_re[7] = {};
+    T rot_im[7] = {};
+  };
 
-  std::complex<T> root(std::size_t n, std::size_t k) const {
-    const double sign = direction_ == Direction::Forward ? -1.0 : 1.0;
-    const double angle =
-        sign * 2.0 * std::numbers::pi * static_cast<double>(k % n) /
-        static_cast<double>(n);
-    return {static_cast<T>(std::cos(angle)), static_cast<T>(std::sin(angle))};
-  }
-
-  // Computes the DFT of in[0], in[stride], ... into out[0..n). `scratch`
-  // must hold n elements and may be shared across the whole recursion
-  // (children finish before the parent's combine uses it).
-  void recurse(const std::complex<T>* in, std::size_t stride,
-               std::complex<T>* out, std::size_t n, std::size_t level,
-               std::complex<T>* scratch) const {
-    if (n == 1) {
-      out[0] = in[0];
-      return;
-    }
-    const Level& lv = levels_[level];
-    IDG_ASSERT(lv.n == n, "level/size mismatch in FFT recursion");
-    const int r = lv.radix;
-    const std::size_t m = n / static_cast<std::size_t>(r);
-    for (int j = 0; j < r; ++j) {
-      recurse(in + static_cast<std::size_t>(j) * stride,
-              stride * static_cast<std::size_t>(r),
-              out + static_cast<std::size_t>(j) * m, m, level + 1, scratch);
-    }
-    // Combine: X[q*m + p] = sum_j omega_r^(jq) * (w_n^(jp) * Y_j[p]).
-    const std::complex<T>* tw = lv.twiddle.data();
-    const std::complex<T>* om = lv.omega.data();
-    for (std::size_t p = 0; p < m; ++p) {
-      std::complex<T> t[7];
-      for (int j = 0; j < r; ++j)
-        t[j] = out[static_cast<std::size_t>(j) * m + p] *
-               tw[static_cast<std::size_t>(j) * m + p];
-      for (int q = 0; q < r; ++q) {
-        std::complex<T> acc = t[0];
-        for (int j = 1; j < r; ++j)
-          acc += t[j] * om[static_cast<std::size_t>(j) * r + q];
-        scratch[static_cast<std::size_t>(q) * m + p] = acc;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = scratch[i];
-  }
-
-  // --- Bluestein fallback -------------------------------------------------
-
-  void build_bluestein() {
-    bluestein_ = true;
-    const std::size_t m = detail::next_pow2(2 * n_ - 1);
-    fwd_ = std::make_unique<Plan>(m, Direction::Forward);
-    bwd_ = std::make_unique<Plan>(m, Direction::Backward);
-    chirp_.resize(n_);
-    const double sign = direction_ == Direction::Forward ? -1.0 : 1.0;
-    for (std::size_t k = 0; k < n_; ++k) {
-      // exp(sign * pi * i * k^2 / n); reduce k^2 mod 2n to keep the argument
-      // small for large n.
-      const std::size_t k2 = (k * k) % (2 * n_);
-      const double angle =
-          sign * std::numbers::pi * static_cast<double>(k2) /
-          static_cast<double>(n_);
-      chirp_[k] = {static_cast<T>(std::cos(angle)),
-                   static_cast<T>(std::sin(angle))};
-    }
-    // FFT of the zero-padded conjugate chirp (the convolution kernel).
-    std::vector<std::complex<T>> b(m, std::complex<T>{});
-    b[0] = std::conj(chirp_[0]);
-    for (std::size_t k = 1; k < n_; ++k) {
-      b[k] = std::conj(chirp_[k]);
-      b[m - k] = std::conj(chirp_[k]);
-    }
-    kernel_fft_.resize(m);
-    Workspace<T> ws;
-    fwd_->execute(b.data(), 1, kernel_fft_.data(), ws);
-  }
-
-  void execute_bluestein(const std::complex<T>* in, std::size_t in_stride,
-                         std::complex<T>* out, Workspace<T>& ws) const {
-    const std::size_t m = fwd_->size();
-    std::complex<T>* buf = ws.get(2 * m);
-    std::complex<T>* a = buf;
-    std::complex<T>* A = buf + m;
-    // The inner power-of-two plans need their own scratch: ws.get() again
-    // would invalidate a/A, so keep a separate thread-local workspace.
-    static thread_local Workspace<T> inner;
-    for (std::size_t k = 0; k < n_; ++k) a[k] = in[k * in_stride] * chirp_[k];
-    for (std::size_t k = n_; k < m; ++k) a[k] = std::complex<T>{};
-    fwd_->execute(a, 1, A, inner);
-    for (std::size_t k = 0; k < m; ++k) A[k] *= kernel_fft_[k];
-    bwd_->execute(A, 1, a, inner);
-    const T scale = static_cast<T>(1.0 / static_cast<double>(m));
-    for (std::size_t k = 0; k < n_; ++k) out[k] = a[k] * chirp_[k] * scale;
-  }
+  void build_stages();
+  void build_bluestein();
+  std::size_t workspace_size() const;
+  /// Transforms `count` sequences, kLanes at a time: element j of sequence
+  /// s is read from in[s * in_seq + j * in_elem] and written to
+  /// out[s * out_seq + j * out_elem]. Each sequence's result is bitwise the
+  /// one it gets alone.
+  void transform(const std::complex<T>* in, std::size_t in_elem,
+                 std::size_t in_seq, std::complex<T>* out,
+                 std::size_t out_elem, std::size_t out_seq, std::size_t count,
+                 T* scratch, Weight load, Weight store) const;
+  /// Transforms the block in x ([n][kLanes] re, then im), using y (same
+  /// size) and `extra` (Bluestein only) as scratch; returns x or y,
+  /// whichever holds the result.
+  T* run(T* x, T* y, T* extra) const;
+  T* run_bluestein(T* x, T* extra) const;
 
   std::size_t n_;
   Direction direction_;
-  std::vector<Level> levels_;
+  std::vector<Stage> stages_;
 
-  bool bluestein_ = false;
+  // Bluestein: x -> chirp * IFFT_m(FFT_m(chirp * x) * kernel) / m.
   std::unique_ptr<Plan> fwd_;
   std::unique_ptr<Plan> bwd_;
-  std::vector<std::complex<T>> chirp_;
-  std::vector<std::complex<T>> kernel_fft_;
+  AlignedVector<T> chirp_re_, chirp_im_;
+  AlignedVector<T> kernel_re_, kernel_im_;
 };
 
 /// Two-dimensional complex FFT over a contiguous row-major rows x cols
-/// array. Rows are transformed first, then columns (through a transpose-free
-/// strided read).
+/// array: a column pass over blocks of kLanes adjacent columns, then a row
+/// pass over blocks of kLanes rows, each through a block transpose. Needs
+/// O(max(rows, cols) * kLanes) workspace per thread.
 template <typename T>
 class Plan2D {
  public:
-  Plan2D(std::size_t rows, std::size_t cols, Direction direction)
-      : rows_(rows),
-        cols_(cols),
-        row_plan_(cols, direction),
-        col_plan_(rows, direction) {}
+  Plan2D(std::size_t rows, std::size_t cols, Direction direction);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  void execute_inplace(std::complex<T>* data, Workspace<T>& ws) const {
-    // Row passes (contiguous).
-    for (std::size_t r = 0; r < rows_; ++r)
-      row_plan_.execute_inplace(data + r * cols_, ws);
-    // Column passes (stride = cols). Output staged through a scratch column.
-    std::vector<std::complex<T>>& col = column_scratch();
-    col.resize(rows_);
-    for (std::size_t c = 0; c < cols_; ++c) {
-      col_plan_.execute(data + c, cols_, col.data(), ws);
-      for (std::size_t r = 0; r < rows_; ++r) data[r * cols_ + c] = col[r];
-    }
-  }
+  void execute_inplace(std::complex<T>* data, Workspace<T>& ws) const;
+
+  /// The centred transform: data = scale * fftshift(FFT(ifftshift(data))),
+  /// so both domains keep their centre at (rows/2, cols/2). For even sizes
+  /// this equals checkerboard o FFT o checkerboard up to a global sign, and
+  /// the signs and the scale ride on the passes' own loads and stores.
+  /// Odd sizes shift through fftshift2d.
+  void execute_centred(std::complex<T>* data, Workspace<T>& ws,
+                       T scale = 1) const;
 
  private:
-  static std::vector<std::complex<T>>& column_scratch() {
-    static thread_local std::vector<std::complex<T>> scratch;
-    return scratch;
-  }
+  void run(std::complex<T>* data, Workspace<T>& ws,
+           typename Plan<T>::Weight load,
+           typename Plan<T>::Weight store) const;
 
   std::size_t rows_;
   std::size_t cols_;
-  Plan<T> row_plan_;
-  Plan<T> col_plan_;
+  Plan<T> col_plan_;  ///< length rows
+  Plan<T> row_plan_;  ///< length cols
 };
+
+/// Process-wide cache of square n x n plans, built once per (n, direction)
+/// and kept for the life of the process.
+template <typename T>
+const Plan2D<T>& cached_plan2d(std::size_t n, Direction direction);
 
 /// Swaps quadrants so that the zero-frequency (or image-center) sample moves
 /// between index 0 and index n/2 conventions. For even sizes this is an

@@ -55,7 +55,11 @@ clean::MajorCycleResult run_imaging_job(const JobSpec& spec,
   JobWorkload w = build_job_workload(spec);
   Plan plan(w.params, w.dataset.uvw, w.dataset.frequencies,
             w.dataset.baselines);
-  auto aterms = sim::make_identity_aterms(1, spec.nr_stations,
+  // One A-term slot per aterm_interval timesteps, or the plan's slot index
+  // runs past the cube for long observations.
+  const int slots = (spec.nr_timesteps + w.params.aterm_interval - 1) /
+                    w.params.aterm_interval;
+  auto aterms = sim::make_identity_aterms(slots, spec.nr_stations,
                                           w.params.subgrid_size);
 
   std::unique_ptr<GridderBackend> backend =

@@ -82,9 +82,7 @@ WKernelSet::WKernelSet(const WKernelConfig& config) : config_(config) {
       }
     }
 
-    fft::fftshift2d(screen.data(), m, m, -1);
-    plan.execute_inplace(screen.data(), ws);
-    fft::fftshift2d(screen.data(), m, m, +1);
+    plan.execute_centred(screen.data(), ws);
 
     // Crop the central os_size x os_size samples; normalize by 1/C^2 (the
     // IDG subgrid FFT convention, so grids from both algorithms match).

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <vector>
@@ -265,6 +266,193 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Fft2DSizes,
                                            Dims{32, 32}, Dims{48, 48},
                                            Dims{64, 64}, Dims{16, 24},
                                            Dims{5, 7}, Dims{128, 128}));
+
+// ---------------------------------------------------------------------------
+// Accuracy against a double-precision reference, at the sizes the pipelines
+// use: 24^2 and 48^2 subgrids (radix 3), 32^2, and 256^2 / 512^2 grids.
+
+using DoubleVec = std::vector<std::complex<double>>;
+
+/// Row DFTs then column DFTs in double through per-length twiddle tables:
+/// O(rows * cols * (rows + cols)), fast enough for 512^2.
+DoubleVec reference_dft2d(const DoubleVec& x, std::size_t rows,
+                          std::size_t cols, Direction direction) {
+  const double sign = direction == Direction::Forward ? -1.0 : 1.0;
+  auto table = [&](std::size_t n) {
+    DoubleVec w(n);
+    for (std::size_t k = 0; k < n; ++k)
+      w[k] = std::polar(1.0, sign * 2.0 * std::numbers::pi *
+                                 static_cast<double>(k) /
+                                 static_cast<double>(n));
+    return w;
+  };
+  const DoubleVec wc = table(cols), wr = table(rows);
+  DoubleVec t(rows * cols), out(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t k = 0; k < cols; ++k) {
+      std::complex<double> acc{};
+      for (std::size_t j = 0; j < cols; ++j)
+        acc += x[r * cols + j] * wc[(j * k) % cols];
+      t[r * cols + k] = acc;
+    }
+  for (std::size_t c = 0; c < cols; ++c)
+    for (std::size_t k = 0; k < rows; ++k) {
+      std::complex<double> acc{};
+      for (std::size_t j = 0; j < rows; ++j)
+        acc += t[j * cols + c] * wr[(j * k) % rows];
+      out[k * cols + c] = acc;
+    }
+  return out;
+}
+
+template <typename T>
+double relative_l2(const std::vector<std::complex<T>>& y,
+                   const DoubleVec& ref) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    num += std::norm(std::complex<double>(y[i]) - ref[i]);
+    den += std::norm(ref[i]);
+  }
+  return std::sqrt(num / den);
+}
+
+/// Size and the relative-l2 error the recursive radix-4 transform this
+/// executor replaced measured on the same input (random_signal(n*n, 7+n)).
+struct AccuracyCase {
+  std::size_t n;
+  double replaced_rel_l2;
+};
+
+void PrintTo(const AccuracyCase& c, std::ostream* os) { *os << c.n << "^2"; }
+
+class Fft2DAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
+
+TEST_P(Fft2DAccuracy, RelativeL2AtMostTwiceTheReplacedTransform) {
+  const auto [n, replaced] = GetParam();
+  const auto x = random_signal(n * n, 7 + static_cast<unsigned>(n));
+  const DoubleVec xd(x.begin(), x.end());
+  // Both directions where the reference is cheap; forward only at 512^2.
+  for (Direction dir : {Direction::Forward, Direction::Backward}) {
+    if (n > 256 && dir == Direction::Backward) continue;
+    const DoubleVec ref = reference_dft2d(xd, n, n, dir);
+    Plan2D<float> plan(n, n, dir);
+    Workspace<float> ws;
+    auto y = x;
+    plan.execute_inplace(y.data(), ws);
+    EXPECT_LE(relative_l2(y, ref), 2.0 * replaced)
+        << "n=" << n << (dir == Direction::Forward ? " forward" : " backward");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PipelineSizes, Fft2DAccuracy,
+                         ::testing::Values(AccuracyCase{24, 1.075e-7},
+                                           AccuracyCase{32, 1.081e-7},
+                                           AccuracyCase{48, 1.202e-7},
+                                           AccuracyCase{256, 1.466e-7},
+                                           AccuracyCase{512, 1.558e-7}));
+
+// w-projection screens are smooth double sizes with factors 5 and 7.
+TEST(Fft2DDouble, SmoothSizeWithFactorsFiveAndSeven) {
+  const std::size_t n = 70;  // 2 * 5 * 7
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<std::complex<double>> x(n * n);
+  for (auto& v : x) v = {dist(rng), dist(rng)};
+  for (Direction dir : {Direction::Forward, Direction::Backward}) {
+    const DoubleVec ref = reference_dft2d(x, n, n, dir);
+    Plan2D<double> plan(n, n, dir);
+    Workspace<double> ws;
+    auto y = x;
+    plan.execute_inplace(y.data(), ws);
+    EXPECT_LT(relative_l2(y, ref), 1e-14);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The executor runs kLanes sequences side by side; a sequence's result must
+// not depend on the block or lane it ran in. A 2-D transform batches its
+// columns (adjacent sequences) and its rows (sequences a row apart), so it
+// must equal transforming every column alone, then every row alone.
+
+template <typename T>
+void expect_batched_equals_single(std::size_t rows, std::size_t cols) {
+  std::mt19937 rng(static_cast<unsigned>(rows * cols));
+  std::uniform_real_distribution<T> dist(-1, 1);
+  std::vector<std::complex<T>> x(rows * cols);
+  for (auto& v : x) v = {dist(rng), dist(rng)};
+
+  auto batched = x;
+  Workspace<T> ws;
+  Plan2D<T>(rows, cols, Direction::Forward).execute_inplace(batched.data(), ws);
+
+  const Plan<T> col_plan(rows, Direction::Forward);
+  const Plan<T> row_plan(cols, Direction::Forward);
+  std::vector<std::complex<T>> single(rows * cols), column(rows);
+  for (std::size_t c = 0; c < cols; ++c) {
+    col_plan.execute(x.data() + c, cols, column.data(), ws);
+    for (std::size_t r = 0; r < rows; ++r) single[r * cols + c] = column[r];
+  }
+  for (std::size_t r = 0; r < rows; ++r)
+    row_plan.execute_inplace(single.data() + r * cols, ws);
+
+  EXPECT_EQ(std::memcmp(batched.data(), single.data(),
+                        single.size() * sizeof(single[0])),
+            0)
+      << rows << "x" << cols;
+}
+
+TEST(FftBatch, BatchedEqualsOneAtATimeBitwise) {
+  // 37 and 35 leave partial blocks; 37 and 13 run Bluestein; 35 = 5 * 7.
+  for (const auto& [rows, cols] :
+       {Dims{24, 37}, Dims{256, 35}, Dims{13, 48}}) {
+    expect_batched_equals_single<float>(rows, cols);
+    expect_batched_equals_single<double>(rows, cols);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The centred transform equals shift o FFT o shift with the scale applied.
+
+class FftCentred
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+
+TEST_P(FftCentred, MatchesShiftFftShift) {
+  const auto [rows, cols] = GetParam();
+  const float scale = 0.25f;
+  for (Direction dir : {Direction::Forward, Direction::Backward}) {
+    const auto x = random_signal(rows * cols, 41);
+    const Plan2D<float> plan(rows, cols, dir);
+    Workspace<float> ws;
+
+    auto expected = x;
+    idg::fft::fftshift2d(expected.data(), rows, cols, -1);
+    plan.execute_inplace(expected.data(), ws);
+    idg::fft::fftshift2d(expected.data(), rows, cols, +1);
+    for (auto& v : expected) v *= scale;
+
+    auto centred = x;
+    plan.execute_centred(centred.data(), ws, scale);
+    EXPECT_LT(max_abs_error(centred, expected), tolerance(rows * cols))
+        << rows << "x" << cols;
+  }
+}
+
+// Even squares, even non-square sizes whose two global signs do not cancel
+// (6x8: 3 + 4 odd), odd and mixed sizes.
+INSTANTIATE_TEST_SUITE_P(Sizes, FftCentred,
+                         ::testing::Values(Dims{24, 24}, Dims{32, 32},
+                                           Dims{6, 8}, Dims{16, 24},
+                                           Dims{5, 5}, Dims{15, 15},
+                                           Dims{5, 8}));
+
+TEST(FftCentred, CachedPlanIsSharedPerSizeAndDirection) {
+  const auto& a = idg::fft::cached_plan2d<float>(24, Direction::Forward);
+  const auto& b = idg::fft::cached_plan2d<float>(24, Direction::Forward);
+  const auto& c = idg::fft::cached_plan2d<float>(24, Direction::Backward);
+  EXPECT_EQ(&a, &b);
+  EXPECT_NE(&a, &c);
+  EXPECT_EQ(a.rows(), 24u);
+}
 
 // ---------------------------------------------------------------------------
 

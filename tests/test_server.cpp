@@ -503,6 +503,35 @@ TEST(ServerEndToEndTest, CompletedJobIsByteIdenticalToDirectRun) {
   EXPECT_EQ(counters.drained, 1u);
 }
 
+// More timesteps than one A-term interval (256) need a second A-term slot;
+// a one-slot cube made the kernel read past it and abort the server.
+TEST(ServerEndToEndTest, JobLongerThanOneATermIntervalCompletes) {
+  JobSpec spec;
+  spec.nr_stations = 3;
+  spec.nr_timesteps = 257;
+  spec.nr_channels = 1;
+  spec.grid_size = 64;
+  spec.nr_cycles = 1;
+
+  const clean::MajorCycleResult direct = run_imaging_job(spec, {});
+  EXPECT_EQ(direct.peak_history.size(), 1u);
+
+  ServerFixture fixture(test_config("long"));
+  Client client(client_options(fixture, "alice"));
+  client.connect();
+  const SubmitOutcome outcome = client.submit(spec);
+  ASSERT_FALSE(outcome.rejected);
+  ASSERT_EQ(outcome.state, JobState::kCompleted);
+  ASSERT_TRUE(outcome.result != nullptr);
+  EXPECT_EQ(std::memcmp(outcome.result->model_image.data(),
+                        direct.model_image.data(),
+                        direct.model_image.bytes()),
+            0);
+  client.close();
+  EXPECT_EQ(fixture.stop(), 0);
+  EXPECT_EQ(fixture.snapshot_counters().jobs_completed, 1u);
+}
+
 TEST(ServerEndToEndTest, StatsReportsTheV8SchemaWithAServerBlock) {
   ServerFixture fixture(test_config("stats"));
   Client client(client_options(fixture, "alice"));
