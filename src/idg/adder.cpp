@@ -3,18 +3,15 @@
 #include <omp.h>
 
 #include "common/error.hpp"
+#include "idg/kernels.hpp"
 
 namespace idg {
 
 namespace {
 void check_shapes(const Parameters& params, std::span<const WorkItem> items,
-                  std::size_t subgrid_count,
-                  const std::array<std::size_t, 3>& grid_dims) {
+                  std::size_t subgrid_count, ArrayView<const cfloat, 3> grid) {
   const std::size_t n = params.subgrid_size;
-  IDG_CHECK(grid_dims[0] == kNrPolarizations &&
-                grid_dims[1] == params.grid_size &&
-                grid_dims[2] == params.grid_size,
-            "grid must be [4][grid_size][grid_size]");
+  check_grid_stack(params, items, grid);
   IDG_CHECK(subgrid_count >= items.size(), "subgrid buffer too small");
   for (const WorkItem& item : items) {
     IDG_CHECK(item.coord_x >= 0 && item.coord_y >= 0 &&
@@ -63,6 +60,11 @@ TileClip clip(const Parameters& params, const TileBinning& binning,
   c.x_hi = std::min({x0 + n, (tx + 1) * t, g});
   return c;
 }
+
+/// First polarisation index of the item's w-plane in the grid stack.
+std::size_t plane_offset(const WorkItem& item) {
+  return static_cast<std::size_t>(item.w_plane) * kNrPolarizations;
+}
 }  // namespace
 
 void add_tile(const Parameters& params, std::span<const WorkItem> items,
@@ -77,12 +79,13 @@ void add_tile(const Parameters& params, std::span<const WorkItem> items,
     if (c.y_lo >= c.y_hi || c.x_lo >= c.x_hi) continue;
     const std::size_t y0 = static_cast<std::size_t>(item.coord_y);
     const std::size_t x0 = static_cast<std::size_t>(item.coord_x);
+    const std::size_t p0 = plane_offset(item);
     const std::size_t nx = c.x_hi - c.x_lo;
     for (std::size_t gy = c.y_lo; gy < c.y_hi; ++gy) {
       const std::size_t sy = gy - y0;
       for (std::size_t p = 0; p < kNrPolarizations; ++p) {
         const cfloat* src = &subgrids(i, p, sy, c.x_lo - x0);
-        cfloat* dst = &grid(p, gy, c.x_lo);
+        cfloat* dst = &grid(p0 + p, gy, c.x_lo);
         for (std::size_t x = 0; x < nx; ++x) dst[x] += src[x];
       }
     }
@@ -102,11 +105,12 @@ void split_tile(const Parameters& params, std::span<const WorkItem> items,
     if (c.y_lo >= c.y_hi || c.x_lo >= c.x_hi) continue;
     const std::size_t y0 = static_cast<std::size_t>(item.coord_y);
     const std::size_t x0 = static_cast<std::size_t>(item.coord_x);
+    const std::size_t p0 = plane_offset(item);
     const std::size_t nx = c.x_hi - c.x_lo;
     for (std::size_t gy = c.y_lo; gy < c.y_hi; ++gy) {
       const std::size_t sy = gy - y0;
       for (std::size_t p = 0; p < kNrPolarizations; ++p) {
-        const cfloat* src = &grid(p, gy, c.x_lo);
+        const cfloat* src = &grid(p0 + p, gy, c.x_lo);
         cfloat* dst = &subgrids(i, p, sy, c.x_lo - x0);
         for (std::size_t x = 0; x < nx; ++x) dst[x] = src[x];
       }
@@ -119,8 +123,7 @@ void add_subgrids_to_grid(const Parameters& params,
                           const TileBinning& binning,
                           ArrayView<const cfloat, 4> subgrids,
                           ArrayView<cfloat, 3> grid) {
-  check_shapes(params, items, subgrids.dim(0),
-               {grid.dim(0), grid.dim(1), grid.dim(2)});
+  check_shapes(params, items, subgrids.dim(0), grid);
   check_binning(params, items, binning);
   const std::size_t nr_tiles = binning.nr_tiles();
   // Tiles near the uv origin hold most items; dynamic scheduling balances
@@ -143,8 +146,7 @@ void add_subgrids_to_grid_rowband(const Parameters& params,
                                   std::span<const WorkItem> items,
                                   ArrayView<const cfloat, 4> subgrids,
                                   ArrayView<cfloat, 3> grid) {
-  check_shapes(params, items, subgrids.dim(0),
-               {grid.dim(0), grid.dim(1), grid.dim(2)});
+  check_shapes(params, items, subgrids.dim(0), grid);
   const std::size_t n = params.subgrid_size;
   const std::size_t g = params.grid_size;
 
@@ -162,13 +164,14 @@ void add_subgrids_to_grid_rowband(const Parameters& params,
       const WorkItem& item = items[i];
       const std::size_t y0 = static_cast<std::size_t>(item.coord_y);
       const std::size_t x0 = static_cast<std::size_t>(item.coord_x);
+      const std::size_t p0 = plane_offset(item);
       const std::size_t y_lo = std::max(y0, row_begin);
       const std::size_t y_hi = std::min(y0 + n, row_end);
       for (std::size_t gy = y_lo; gy < y_hi; ++gy) {
         const std::size_t sy = gy - y0;
         for (std::size_t p = 0; p < kNrPolarizations; ++p) {
           const cfloat* src = &subgrids(i, p, sy, 0);
-          cfloat* dst = &grid(p, gy, x0);
+          cfloat* dst = &grid(p0 + p, gy, x0);
           for (std::size_t x = 0; x < n; ++x) dst[x] += src[x];
         }
       }
@@ -181,8 +184,7 @@ void split_subgrids_from_grid(const Parameters& params,
                               const TileBinning& binning,
                               ArrayView<const cfloat, 3> grid,
                               ArrayView<cfloat, 4> subgrids) {
-  check_shapes(params, items, subgrids.dim(0),
-               {grid.dim(0), grid.dim(1), grid.dim(2)});
+  check_shapes(params, items, subgrids.dim(0), grid);
   check_binning(params, items, binning);
   const std::size_t nr_tiles = binning.nr_tiles();
 #pragma omp parallel for schedule(dynamic)

@@ -15,6 +15,13 @@
 // the row-band reference on an unsorted plan. The splitter reads the
 // (immutable) grid with the same binning so its grid reads are
 // tile-sequential.
+//
+// The grid is a plane stack [planes*4][grid_size][grid_size], stored plane
+// by plane (a plain plan is a stack of one plane). Every item reads and
+// writes the four polarisations of its own plane, 4*w_plane onwards. Tiles
+// are disjoint on every plane and list their items by `order`, so one tile
+// loop serves w-stacking too, with each plane's per-pixel sum order the
+// same as a serial add in `order`.
 #pragma once
 
 #include <span>
@@ -26,9 +33,9 @@
 
 namespace idg {
 
-/// grid(pol, y0+y, x0+x) += subgrid(i, pol, y, x) for every item, using a
-/// precomputed tile binning of `items` (see Plan::work_group_tiles).
-/// `grid` dims: [4][grid_size][grid_size].
+/// grid(4*w_plane + pol, y0+y, x0+x) += subgrid(i, pol, y, x) for every
+/// item, using a precomputed tile binning of `items` (see
+/// Plan::work_group_tiles). `grid` dims: [planes*4][grid_size][grid_size].
 void add_subgrids_to_grid(const Parameters& params,
                           std::span<const WorkItem> items,
                           const TileBinning& binning,
@@ -48,8 +55,8 @@ void add_subgrids_to_grid_rowband(const Parameters& params,
                                   ArrayView<const cfloat, 4> subgrids,
                                   ArrayView<cfloat, 3> grid);
 
-/// subgrid(i, pol, y, x) = grid(pol, y0+y, x0+x) for every item, reading
-/// the grid tile by tile.
+/// subgrid(i, pol, y, x) = grid(4*w_plane + pol, y0+y, x0+x) for every
+/// item, reading the grid tile by tile.
 void split_subgrids_from_grid(const Parameters& params,
                               std::span<const WorkItem> items,
                               const TileBinning& binning,

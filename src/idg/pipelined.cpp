@@ -63,6 +63,7 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
                                          ArrayView<cfloat, 3> grid,
                                          obs::MetricsSink& sink,
                                          const RunControl& ctl_in) const {
+  check_grid_stack(params_, plan.items(), grid);
   const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
   const RunControl& ctl = scoped.ctl();
   const std::size_t n = params_.subgrid_size;
@@ -267,6 +268,7 @@ void PipelinedDegridder::degrid_visibilities(
     ArrayView<const cfloat, 3> grid, FlagView flags,
     ArrayView<const Jones, 4> aterms, ArrayView<Visibility, 3> visibilities,
     obs::MetricsSink& sink, const RunControl& ctl_in) const {
+  check_grid_stack(params_, plan.items(), grid);
   const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
   const RunControl& ctl = scoped.ctl();
   const std::size_t n = params_.subgrid_size;

@@ -24,6 +24,7 @@ void Processor::grid_visibilities(const Plan& plan,
                                   ArrayView<cfloat, 3> grid,
                                   obs::MetricsSink& sink,
                                   const RunControl& ctl_in) const {
+  check_grid_stack(params_, plan.items(), grid);
   const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
   const RunControl& ctl = scoped.ctl();
   const std::size_t n = params_.subgrid_size;
@@ -116,6 +117,7 @@ void Processor::degrid_visibilities(const Plan& plan,
                                     ArrayView<Visibility, 3> visibilities,
                                     obs::MetricsSink& sink,
                                     const RunControl& ctl_in) const {
+  check_grid_stack(params_, plan.items(), grid);
   const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
   const RunControl& ctl = scoped.ctl();
   const std::size_t n = params_.subgrid_size;

@@ -16,6 +16,14 @@
 // The paper notes this combination lets IDG use large subgrids "to
 // dramatically limit the number of required W-planes" compared to
 // W-projection.
+//
+// The plane stack [nr_planes][4][grid][grid] is exactly the grid every
+// executor takes, [nr_planes*4][grid][grid] stored plane by plane: the
+// tiled adder and splitter route each work item to its plane (adder.hpp).
+// So gridding and degridding forward to the synchronous Processor, with
+// its scrub policy, deadlines, cancellation, fault sites and moved-byte
+// accounting; this class adds the plan's plane assignment and the
+// plane-combination image transforms.
 #pragma once
 
 #include "common/array.hpp"
@@ -23,20 +31,21 @@
 #include "idg/kernels.hpp"
 #include "idg/parameters.hpp"
 #include "idg/plan.hpp"
+#include "idg/processor.hpp"
 #include "idg/wplane.hpp"
 #include "obs/sink.hpp"
 
 namespace idg {
 
-/// W-stacking gridding/degridding driver. Owns a Processor-equivalent
-/// pipeline whose adder/splitter route each work item to its w-plane's
-/// grid, plus the plane-combination image transforms.
+/// W-stacking gridding/degridding driver: plans with w-plane assignments,
+/// grids and degrids the plane stack through a Processor, and combines the
+/// planes into images.
 class WStackProcessor {
  public:
   WStackProcessor(Parameters params, WPlaneModel wplanes,
                   const KernelSet& kernels = reference_kernels());
 
-  const Parameters& parameters() const { return params_; }
+  const Parameters& parameters() const { return processor_.parameters(); }
   const WPlaneModel& wplanes() const { return wplanes_; }
 
   /// Builds a plan whose work items carry their w-plane assignment.
@@ -73,10 +82,8 @@ class WStackProcessor {
       const Array3D<cfloat>& model_image) const;
 
  private:
-  Parameters params_;
   WPlaneModel wplanes_;
-  const KernelSet* kernels_;
-  Array2D<float> taper_;
+  Processor processor_;
 };
 
 }  // namespace idg

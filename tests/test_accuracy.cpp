@@ -6,7 +6,8 @@
 //      named errors (the contract fails loudly, never silently),
 //   2. the gridder/degridder pair stays adjoint to within epsilon on every
 //      execution backend — also under the flagged-data policies, where both
-//      operators apply the same sample mask,
+//      operators apply the same sample mask, and on a w-stacked plan, whose
+//      plane stack every backend fills byte for byte alike,
 //   3. the dirty image matches a direct double-precision DFT of the same
 //      planned visibilities to within epsilon over the central half of the
 //      field, for every tier; the pipelined and resilient grids are
@@ -14,6 +15,7 @@
 //      backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -26,6 +28,7 @@
 #include "idg/image.hpp"
 #include "idg/parameters.hpp"
 #include "idg/plan.hpp"
+#include "idg/wplane.hpp"
 #include "kernels/optimized.hpp"
 #include "obs/sink.hpp"
 #include "sim/aterm.hpp"
@@ -46,9 +49,14 @@ struct ContractSetup {
   sim::ATermCube aterms;
   Array3D<Visibility> vis;
 
+  std::size_t planes = 1;  ///< w-planes of the grid stack
+
+  /// `planes` > 1 builds a w-stacked plan (WPlaneModel::fit) whose grid is
+  /// a [planes*4][G][G] plane stack.
   static ContractSetup make(double epsilon,
                             BadSamplePolicy policy =
-                                BadSamplePolicy::kZeroAndContinue) {
+                                BadSamplePolicy::kZeroAndContinue,
+                            int planes = 1) {
     sim::BenchmarkConfig cfg;
     cfg.nr_stations = 6;
     cfg.nr_timesteps = 16;
@@ -66,7 +74,10 @@ struct ContractSetup {
     params.bad_sample_policy = policy;
     params.auto_configure(epsilon);
 
-    Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
+    const WPlaneModel wplanes =
+        planes > 1 ? WPlaneModel::fit(planes, ds.uvw, ds.frequencies)
+                   : WPlaneModel();
+    Plan plan(params, ds.uvw, ds.frequencies, ds.baselines, &wplanes);
     // The science tier pads subgrid_size: size the A-terms AFTER
     // auto_configure.
     auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
@@ -82,7 +93,12 @@ struct ContractSetup {
            {dist(rng), dist(rng)},
            {dist(rng), dist(rng)}};
     return {std::move(ds), params, std::move(plan), std::move(aterms),
-            std::move(vis)};
+            std::move(vis), static_cast<std::size_t>(planes)};
+  }
+
+  Array3D<cfloat> make_grid() const {
+    return Array3D<cfloat>(planes * kNrPolarizations, params.grid_size,
+                           params.grid_size);
   }
 
   std::unique_ptr<GridderBackend> backend(const std::string& name) const {
@@ -93,8 +109,7 @@ struct ContractSetup {
   }
 
   Array3D<cfloat> run_grid(const std::string& backend_name) const {
-    Array3D<cfloat> grid(kNrPolarizations, params.grid_size,
-                         params.grid_size);
+    Array3D<cfloat> grid = make_grid();
     backend(backend_name)
         ->grid(plan, ds.uvw.cview(), vis.cview(), ds.flag_view(),
                aterms.cview(), grid.view(), obs::null_sink());
@@ -114,14 +129,13 @@ double adjointness_defect(const ContractSetup& s,
                           const std::string& backend_name) {
   auto backend = s.backend(backend_name);
 
-  Array3D<cfloat> gv(kNrPolarizations, s.params.grid_size,
-                     s.params.grid_size);
+  Array3D<cfloat> gv = s.make_grid();
   backend->grid(s.plan, s.ds.uvw.cview(), s.vis.cview(), s.ds.flag_view(),
                 s.aterms.cview(), gv.view(), obs::null_sink());
 
   std::mt19937 rng(777);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  Array3D<cfloat> g(kNrPolarizations, s.params.grid_size, s.params.grid_size);
+  Array3D<cfloat> g = s.make_grid();
   for (auto& x : g) x = {dist(rng), dist(rng)};
 
   Array3D<Visibility> gtg(s.ds.nr_baselines(), s.ds.nr_timesteps(),
@@ -324,12 +338,23 @@ TEST(ValidatedEpsilonTest, RejectsConfigurationAboveItsErrorFloor) {
 class AccuracyContract : public ::testing::TestWithParam<double> {};
 
 TEST_P(AccuracyContract, AdjointnessHoldsOnEveryBackend) {
+  // A plain plan, and a 4-plane w-stacked plan on a plane-stack grid.
   const double epsilon = GetParam();
-  const auto s = ContractSetup::make(epsilon);
-  for (const char* backend : {"synchronous", "pipelined", "resilient"}) {
-    const double defect = adjointness_defect(s, backend);
-    EXPECT_LE(defect, epsilon)
-        << "backend " << backend << ", epsilon " << epsilon;
+  for (const int planes : {1, 4}) {
+    const auto s = ContractSetup::make(
+        epsilon, BadSamplePolicy::kZeroAndContinue, planes);
+    for (const char* backend : {"synchronous", "pipelined", "resilient"}) {
+      const double defect = adjointness_defect(s, backend);
+      EXPECT_LE(defect, epsilon) << "backend " << backend << ", epsilon "
+                                 << epsilon << ", " << planes << " planes";
+    }
+    if (planes == 1) continue;
+    ASSERT_TRUE(std::any_of(s.plan.items().begin(), s.plan.items().end(),
+                            [](const WorkItem& it) { return it.w_plane > 0; }));
+    // Every executor fills the plane stack identically, byte for byte.
+    const auto stack = s.run_grid("synchronous");
+    EXPECT_TRUE(grids_bit_identical(stack, s.run_grid("pipelined")));
+    EXPECT_TRUE(grids_bit_identical(stack, s.run_grid("resilient")));
   }
 }
 

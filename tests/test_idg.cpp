@@ -11,6 +11,7 @@
 
 #include "idg/accounting.hpp"
 #include "idg/adder.hpp"
+#include "idg/backend.hpp"
 #include "idg/image.hpp"
 #include "idg/kernels.hpp"
 #include "idg/parameters.hpp"
@@ -18,6 +19,7 @@
 #include "idg/processor.hpp"
 #include "idg/subgrid_fft.hpp"
 #include "idg/taper.hpp"
+#include "idg/wplane.hpp"
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
 #include "sim/predict.hpp"
@@ -620,13 +622,65 @@ TEST(AdderTest, PatchOutsideGridThrows) {
       Error);
 }
 
+TEST(AdderTest, WPlaneWithoutGridThrowsOnEveryExecutor) {
+  // A two-plane w-stacked plan against a one-plane grid: the adder and every
+  // executor reject it by name before any stage runs.
+  auto s = Setup::make(5, 16, 4, 256, 24, 8);
+  const WPlaneModel wplanes = WPlaneModel::fit(2, s.ds.uvw, s.ds.frequencies);
+  const Plan plan(s.params, s.ds.uvw, s.ds.frequencies, s.ds.baselines,
+                  &wplanes);
+  ASSERT_TRUE(std::any_of(plan.items().begin(), plan.items().end(),
+                          [](const WorkItem& item) { return item.w_plane == 1; }));
+
+  const std::size_t g = s.params.grid_size;
+  const std::size_t n = s.params.subgrid_size;
+  Array3D<cfloat> grid(4, g, g);
+  Array4D<cfloat> subgrids(plan.nr_subgrids(), 4, n, n);
+  Array3D<Visibility> vis(s.ds.nr_baselines(), s.ds.nr_timesteps(),
+                          s.ds.nr_channels());
+  const auto expect_named = [](const std::string& who, const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << who << " accepted a grid without w-plane 1";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("w-plane 1"), std::string::npos)
+          << who << ": " << e.what();
+    }
+  };
+  expect_named("adder", [&] {
+    add_subgrids_to_grid(s.params, plan.items(), subgrids.cview(),
+                         grid.view());
+  });
+  for (const std::string& name : backend_names()) {
+    auto backend = make_backend(name, s.params);
+    obs::AggregateSink sink;
+    expect_named(name + " grid", [&] {
+      backend->grid(plan, s.ds.uvw.cview(), vis.cview(), s.aterms.cview(),
+                    grid.view(), sink);
+    });
+    expect_named(name + " degrid", [&] {
+      backend->degrid(plan, s.ds.uvw.cview(), grid.cview(), s.aterms.cview(),
+                      vis.view(), sink);
+    });
+    const auto snapshot = sink.snapshot();
+    for (const char* st : {stage::kScrub, stage::kGridder, stage::kSplitter})
+      EXPECT_EQ(snapshot.count(st), 0u) << name << " recorded " << st;
+  }
+}
+
 // Shared scenario for the tiled-adder tests: a grid the tile size does not
 // divide (ragged edge tiles), items straddling tile boundaries, stacked
-// overlaps and the extreme bottom-right corner patch.
+// overlaps and the extreme bottom-right corner patch, spread over three
+// w-planes of a plane-stacked grid.
 struct TiledScenario {
+  static constexpr std::size_t kPlanes = 3;
   Parameters params;
   std::vector<WorkItem> items;
   Array4D<cfloat> subgrids;
+
+  Array3D<cfloat> make_grid() const {
+    return Array3D<cfloat>(kPlanes * 4, params.grid_size, params.grid_size);
+  }
 
   static TiledScenario make() {
     TiledScenario sc;
@@ -651,8 +705,10 @@ struct TiledScenario {
     WorkItem straddle;  // patch [12, 20) spans the tile boundary at 16
     straddle.coord_x = straddle.coord_y = 12;
     sc.items.push_back(straddle);
-    for (std::size_t i = 0; i < sc.items.size(); ++i)
+    for (std::size_t i = 0; i < sc.items.size(); ++i) {
       sc.items[i].order = static_cast<std::uint32_t>(i);
+      sc.items[i].w_plane = static_cast<int>(i % kPlanes);
+    }
 
     sc.subgrids = Array4D<cfloat>(sc.items.size(), 4, 8, 8);
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
@@ -663,8 +719,7 @@ struct TiledScenario {
 
 TEST(AdderTest, TiledMatchesRowbandBitForBit) {
   auto sc = TiledScenario::make();
-  const std::size_t g = sc.params.grid_size;
-  Array3D<cfloat> tiled(4, g, g), rowband(4, g, g);
+  Array3D<cfloat> tiled = sc.make_grid(), rowband = sc.make_grid();
   add_subgrids_to_grid(sc.params, sc.items, sc.subgrids.cview(),
                        tiled.view());
   add_subgrids_to_grid_rowband(sc.params, sc.items, sc.subgrids.cview(),
@@ -679,8 +734,7 @@ TEST(AdderTest, AccumulationIsCanonicalUnderSpanPermutation) {
   // not span position. This is the invariant that makes tile-sorted and
   // arrival-ordered plans produce identical grids.
   auto sc = TiledScenario::make();
-  const std::size_t g = sc.params.grid_size;
-  Array3D<cfloat> reference(4, g, g);
+  Array3D<cfloat> reference = sc.make_grid();
   add_subgrids_to_grid(sc.params, sc.items, sc.subgrids.cview(),
                        reference.view());
 
@@ -698,7 +752,7 @@ TEST(AdderTest, AccumulationIsCanonicalUnderSpanPermutation) {
           shuffled_subgrids(i, p, y, x) = sc.subgrids(perm[i], p, y, x);
   }
 
-  Array3D<cfloat> shuffled(4, g, g);
+  Array3D<cfloat> shuffled = sc.make_grid();
   add_subgrids_to_grid(sc.params, shuffled_items, shuffled_subgrids.cview(),
                        shuffled.view());
   for (std::size_t i = 0; i < reference.size(); ++i)
@@ -708,8 +762,7 @@ TEST(AdderTest, AccumulationIsCanonicalUnderSpanPermutation) {
 
 TEST(AdderTest, TiledSplitterMatchesDirectPatchCopy) {
   auto sc = TiledScenario::make();
-  const std::size_t g = sc.params.grid_size;
-  Array3D<cfloat> grid(4, g, g);
+  Array3D<cfloat> grid = sc.make_grid();
   std::mt19937 rng(31);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
   for (auto& v : grid) v = {dist(rng), dist(rng)};
@@ -721,10 +774,11 @@ TEST(AdderTest, TiledSplitterMatchesDirectPatchCopy) {
   for (std::size_t i = 0; i < sc.items.size(); ++i) {
     const auto y0 = static_cast<std::size_t>(sc.items[i].coord_y);
     const auto x0 = static_cast<std::size_t>(sc.items[i].coord_x);
+    const auto p0 = static_cast<std::size_t>(sc.items[i].w_plane) * 4;
     for (std::size_t p = 0; p < 4; ++p)
       for (std::size_t y = 0; y < 8; ++y)
         for (std::size_t x = 0; x < 8; ++x)
-          ASSERT_EQ(out(i, p, y, x), grid(p, y0 + y, x0 + x));
+          ASSERT_EQ(out(i, p, y, x), grid(p0 + p, y0 + y, x0 + x));
   }
 }
 

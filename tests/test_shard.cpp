@@ -38,6 +38,7 @@
 #include "idg/parameters.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
+#include "idg/wplane.hpp"
 #include "obs/sink.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/planner.hpp"
@@ -57,8 +58,11 @@ struct Setup {
   Parameters params;
   Plan plan;
   sim::ATermCube aterms;
+  std::size_t planes = 1;  ///< w-planes of the grid stack
 
-  static Setup make(BadSamplePolicy policy = BadSamplePolicy::kZeroAndContinue) {
+  /// `planes` > 1 builds a w-stacked plan whose grid is a plane stack.
+  static Setup make(BadSamplePolicy policy = BadSamplePolicy::kZeroAndContinue,
+                    int planes = 1) {
     sim::BenchmarkConfig cfg;
     cfg.nr_stations = 6;
     cfg.nr_timesteps = 32;
@@ -75,16 +79,21 @@ struct Setup {
     params.kernel_size = 4;
     params.work_group_size = 4;  // several work groups to shard
     params.bad_sample_policy = policy;
-    Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
+    const WPlaneModel wplanes =
+        planes > 1 ? WPlaneModel::fit(planes, ds.uvw, ds.frequencies)
+                   : WPlaneModel();
+    Plan plan(params, ds.uvw, ds.frequencies, ds.baselines, &wplanes);
     auto aterms =
         sim::make_identity_aterms(1, cfg.nr_stations, cfg.subgrid_size);
-    return {std::move(ds), params, std::move(plan), std::move(aterms)};
+    return {std::move(ds), params, std::move(plan), std::move(aterms),
+            static_cast<std::size_t>(planes)};
   }
 
   Array3D<cfloat> grid_with(const GridderBackend& backend,
                             obs::MetricsSink& sink = obs::null_sink(),
                             const RunControl& ctl = RunControl{}) const {
-    Array3D<cfloat> grid(kNrPolarizations, params.grid_size, params.grid_size);
+    Array3D<cfloat> grid(planes * kNrPolarizations, params.grid_size,
+                         params.grid_size);
     backend.grid(plan, ds.uvw.cview(), ds.visibilities.cview(), ds.flag_view(),
                  aterms.cview(), grid.view(), sink, ctl);
     return grid;
@@ -318,31 +327,57 @@ TEST(PlannerTest, PlanningIsDeterministic) {
 
 // --- 3. bit-identity across worker counts ------------------------------------
 
+// Each parity test runs a plain plan and a 4-plane w-stacked plan.
+constexpr int kPlaneCounts[] = {1, 4};
+
 TEST(ShardedParityTest, GridIsBitIdenticalForEveryWorkerCount) {
-  const auto s = Setup::make();
-  const Processor reference(s.params);
-  const auto expected = s.grid_with(reference);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    shard::ShardedBackend sharded(s.params, config_for(workers));
-    const auto got = s.grid_with(sharded);
-    EXPECT_TRUE(bit_identical(expected, got))
-        << "grid diverged with " << workers << " worker(s)";
-    EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
-    EXPECT_EQ(sharded.report().groups_quarantined, 0u);
+  for (const int planes : kPlaneCounts) {
+    const auto s = Setup::make(BadSamplePolicy::kZeroAndContinue, planes);
+    const Processor reference(s.params);
+    const auto expected = s.grid_with(reference);
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      shard::ShardedBackend sharded(s.params, config_for(workers));
+      const auto got = s.grid_with(sharded);
+      EXPECT_TRUE(bit_identical(expected, got))
+          << "grid diverged with " << workers << " worker(s), " << planes
+          << " plane(s)";
+      EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
+      EXPECT_EQ(sharded.report().groups_quarantined, 0u);
+    }
   }
 }
 
 TEST(ShardedParityTest, DegridIsBitIdenticalForEveryWorkerCount) {
-  const auto s = Setup::make();
-  const Processor reference(s.params);
-  const auto grid = s.grid_with(reference);
-  const auto expected = s.degrid_with(reference, grid);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    shard::ShardedBackend sharded(s.params, config_for(workers));
-    const auto got = s.degrid_with(sharded, grid);
-    EXPECT_TRUE(bit_identical(expected, got))
-        << "degrid diverged with " << workers << " worker(s)";
+  for (const int planes : kPlaneCounts) {
+    const auto s = Setup::make(BadSamplePolicy::kZeroAndContinue, planes);
+    const Processor reference(s.params);
+    const auto grid = s.grid_with(reference);
+    const auto expected = s.degrid_with(reference, grid);
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      shard::ShardedBackend sharded(s.params, config_for(workers));
+      const auto got = s.degrid_with(sharded, grid);
+      EXPECT_TRUE(bit_identical(expected, got))
+          << "degrid diverged with " << workers << " worker(s), " << planes
+          << " plane(s)";
+    }
   }
+}
+
+TEST(ShardedParityTest, WPlaneWithoutGridIsRejectedBeforeAnyWorkerStarts) {
+  const auto s = Setup::make(BadSamplePolicy::kZeroAndContinue, 4);
+  Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
+                       s.params.grid_size);
+  Array3D<Visibility> vis(s.ds.visibilities.dim(0), s.ds.visibilities.dim(1),
+                          s.ds.visibilities.dim(2));
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  EXPECT_THROW(sharded.grid(s.plan, s.ds.uvw.cview(),
+                            s.ds.visibilities.cview(), s.aterms.cview(),
+                            grid.view(), obs::null_sink()),
+               Error);
+  EXPECT_THROW(sharded.degrid(s.plan, s.ds.uvw.cview(), grid.cview(),
+                              s.aterms.cview(), vis.view(), obs::null_sink()),
+               Error);
+  EXPECT_EQ(sharded.report().counters.workers_spawned, 0u);
 }
 
 TEST(ShardedParityTest, CallerSkipMaskMatchesSingleProcessSemantics) {
