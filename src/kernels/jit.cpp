@@ -11,12 +11,14 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "kernels/coarsen.hpp"
 #include "kernels/internal.hpp"
 #include "kernels/optimized.hpp"
+#include "kernels/vmath.hpp"
 
 namespace idg::kernels {
 
@@ -56,7 +58,7 @@ constexpr const char* kCompileFlags =
 
 /// Bump when generate_source() changes: stale cached objects from an older
 /// emitter must not be picked up.
-constexpr int kEmitterVersion = 2;
+constexpr int kEmitterVersion = 3;
 
 /// Output of `c++ --version` (first line), or "unknown" when the probe
 /// fails. Part of the cache key: objects compiled by one toolchain must
@@ -97,6 +99,26 @@ std::string cache_dir() {
   return dir;
 }
 
+/// vmath::sincos_batch's constants as C++ declarations, each float spelled
+/// as an exact hex literal, so generated objects cannot drift from it.
+std::string sincos_constants_source() {
+  namespace sc = vmath::sincos_constants;
+  const std::pair<const char*, float> constants[] = {
+      {"kTwoOverPi", sc::kTwoOverPi}, {"kPio2Hi", sc::kPio2Hi},
+      {"kPio2Lo", sc::kPio2Lo},       {"kS1", sc::kS1},
+      {"kS2", sc::kS2},               {"kS3", sc::kS3},
+      {"kC1", sc::kC1},               {"kC2", sc::kC2},
+      {"kC3", sc::kC3}};
+  std::string src;
+  for (const auto& [name, value] : constants) {
+    char literal[64];
+    std::snprintf(literal, sizeof literal, "%af",
+                  static_cast<double>(value));
+    src += std::string("constexpr float ") + name + " = " + literal + ";\n";
+  }
+  return src;
+}
+
 /// Shared preamble of every generated TU: the shape/variant constants and
 /// the embedded sincos polynomial (identical to vmath::sincos_batch so the
 /// object is self-contained).
@@ -119,14 +141,7 @@ constexpr int kV = )" << V << R"(;
 constexpr int kP = )" << P << R"(;
 constexpr int kC = )" << C << R"(;
 
-constexpr float kTwoOverPi = 0.636619772367581343f;
-constexpr float kPio2Hi = 1.57079625129699707031f;
-constexpr float kPio2Lo = 7.54978995489188216337e-8f;
-constexpr float kS1 = -1.6666654611e-1f, kS2 = 8.3321608736e-3f,
-                kS3 = -1.9515295891e-4f;
-constexpr float kC1 = 4.166664568298827e-2f, kC2 = -1.388731625493765e-3f,
-                kC3 = 2.443315711809948e-5f;
-
+)" << sincos_constants_source() << R"(
 inline void sincos_batch(int n, const float* x, float* out_sin,
                          float* out_cos) {
 #pragma omp simd

@@ -7,26 +7,9 @@
 
 namespace idg::vmath {
 
-namespace {
-
-// Cody-Waite split of pi/2 for two-step range reduction; exact to ~3e-15,
-// which keeps the reduced argument accurate for |x| up to ~1e4 radians.
-constexpr float kTwoOverPi = 0.636619772367581343f;
-constexpr float kPio2Hi = 1.57079625129699707031f;
-constexpr float kPio2Lo = 7.54978995489188216337e-8f;
-
-// Cephes minimax polynomials on [-pi/4, pi/4].
-constexpr float kS1 = -1.6666654611e-1f;
-constexpr float kS2 = 8.3321608736e-3f;
-constexpr float kS3 = -1.9515295891e-4f;
-constexpr float kC1 = 4.166664568298827e-2f;
-constexpr float kC2 = -1.388731625493765e-3f;
-constexpr float kC3 = 2.443315711809948e-5f;
-
-}  // namespace
-
 void sincos_batch(std::size_t n, const float* x, float* out_sin,
                   float* out_cos) {
+  using namespace sincos_constants;
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
     const float xi = x[i];
