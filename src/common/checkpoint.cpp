@@ -146,7 +146,8 @@ void CheckpointReader::extract(void* out, std::size_t size,
                                const char* what) {
   IDG_CHECK(size <= payload_.size() - offset_,
             "checkpoint file truncated reading " << what << ": " << path_);
-  std::memcpy(out, payload_.data() + offset_, size);
+  // An empty array decodes into a null destination; memcpy must not see it.
+  if (size != 0) std::memcpy(out, payload_.data() + offset_, size);
   offset_ += size;
 }
 
