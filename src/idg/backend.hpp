@@ -87,8 +87,12 @@ class GridderBackend {
 
   virtual const Parameters& parameters() const = 0;
 
-  /// Grids all planned visibilities onto `grid` ([4][N][N], accumulated);
-  /// per-stage wall time and op counts are recorded into `sink`. `flags`
+  /// Grids all planned visibilities onto `grid` (accumulated), a plane
+  /// stack [planes*4][N][N] stored plane by plane: each work item adds to
+  /// the four polarisations of its w_plane, so a plain plan needs one plane
+  /// and a w-stacked plan one per w-plane (check_grid_stack rejects a
+  /// shorter stack). Per-stage wall time and op counts are recorded into
+  /// `sink`. `flags`
   /// is the dataset's per-visibility mask (empty = nothing flagged);
   /// flagged and non-finite samples are handled per
   /// Parameters::bad_sample_policy (idg/scrub.hpp, DESIGN.md §11). `ctl`
@@ -101,8 +105,9 @@ class GridderBackend {
                     ArrayView<cfloat, 3> grid, obs::MetricsSink& sink,
                     const RunControl& ctl) const = 0;
 
-  /// Predicts all planned visibilities from `grid` (overwrites the covered
-  /// entries of `visibilities`); metrics are recorded into `sink`. Flagged
+  /// Predicts all planned visibilities from `grid` (the same plane stack;
+  /// overwrites the covered entries of `visibilities`); metrics are
+  /// recorded into `sink`. Flagged
   /// predictions are handled per Parameters::bad_sample_policy; groups
   /// masked out by `ctl` leave their visibilities untouched.
   virtual void degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,

@@ -46,7 +46,8 @@ class Processor : public GridderBackend {
   const KernelSet& kernels() const { return *kernels_; }
   const Array2D<float>& taper() const { return taper_; }
 
-  /// Grids all planned visibilities onto `grid` ([4][N][N], accumulated).
+  /// Grids all planned visibilities onto `grid`, a [planes*4][N][N] plane
+  /// stack (accumulated; one plane for a plain plan, see GridderBackend).
   /// Per-stage wall time and op counts are recorded into `sink`; flagged /
   /// non-finite samples are scrubbed per Parameters::bad_sample_policy.
   /// `ctl` (optional) carries the run's CancelToken and work-group skip
@@ -88,8 +89,9 @@ class Processor : public GridderBackend {
                          ArrayView<cfloat, 3> grid,
                          obs::MetricsSink& sink = obs::null_sink()) const;
 
-  /// Predicts all planned visibilities from `grid` (overwrites the covered
-  /// entries of `visibilities`; un-planned entries are left untouched).
+  /// Predicts all planned visibilities from the plane stack `grid`
+  /// (overwrites the covered entries of `visibilities`; un-planned entries
+  /// are left untouched).
   void degrid_visibilities(const Plan& plan, ArrayView<const UVW, 2> uvw,
                            ArrayView<const cfloat, 3> grid, FlagView flags,
                            ArrayView<const Jones, 4> aterms,
