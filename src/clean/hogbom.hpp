@@ -50,9 +50,14 @@ struct CleanResult {
 
 /// Runs Högbom minor cycles on the Stokes-I residual: repeatedly find the
 /// peak, subtract gain * peak * PSF centred there, and record the component.
-/// `residual` and `psf` are [4][n][n] cubes (Stokes I = (XX + YY)/2); the
-/// PSF must peak with value ~1 at its centre pixel (n/2, n/2). `residual`
-/// is modified in place; subtracted flux is accumulated into `model_image`.
+/// `residual`, `psf` and `model_image` are [4][n][n] cubes (Stokes I =
+/// (XX + YY)/2); any other shape is rejected by name. The PSF must peak with
+/// value ~1 at its centre pixel (n/2, n/2). `residual` is modified in place;
+/// subtracted flux is accumulated into `model_image`.
+///
+/// The peak is the largest |Stokes I| in the clean window. When several
+/// pixels hold it, the first in row-major order (lowest y, then lowest x)
+/// wins; NaN pixels are never the peak.
 CleanResult hogbom_clean(ArrayView<cfloat, 3> residual,
                          ArrayView<const cfloat, 3> psf,
                          ArrayView<cfloat, 3> model_image,

@@ -93,7 +93,8 @@ Array3D<cfloat> make_psf(const GridderBackend& backend, const Plan& plan,
 
   Array3D<cfloat> grid(kNrPolarizations, g, g);
   backend.grid(plan, uvw, unit.cview(), aterms, grid.view(), sink);
-  return make_dirty_image(grid, plan.nr_planned_visibilities());
+  return make_dirty_image(grid, plan.nr_planned_visibilities(),
+                          backend.parameters());
 }
 
 MajorCycleResult run_major_cycles(const GridderBackend& backend,
@@ -156,7 +157,8 @@ MajorCycleResult run_major_cycles(const GridderBackend& backend,
                  grid.view(), sink, ctl);
     Array3D<cfloat> dirty = [&] {
       obs::Span span(sink, stage::kGridFft);
-      return make_dirty_image(grid, plan.nr_planned_visibilities());
+      return make_dirty_image(grid, plan.nr_planned_visibilities(),
+                              backend.parameters());
     }();
 
     // --- minor cycles ------------------------------------------------------
@@ -171,7 +173,7 @@ MajorCycleResult run_major_cycles(const GridderBackend& backend,
     if (minor.iterations == 0 && cycle > 0) break;  // converged
     Array3D<cfloat> model_grid = [&] {
       obs::Span span(sink, stage::kGridFft);
-      return model_image_to_grid(result.model_image);
+      return model_image_to_grid(result.model_image, backend.parameters());
     }();
     backend.degrid(plan, uvw, model_grid.cview(), FlagView{}, aterms,
                    model_vis.view(), sink, ctl);

@@ -83,7 +83,8 @@ void save_checkpoint(const std::string& path,
 /// file is missing, truncated, corrupt (CRC), or not an IDGCKPT1 file.
 MajorCycleCheckpoint load_checkpoint(const std::string& path);
 
-/// PSF from the plan's uv coverage: grid unit visibilities and image them.
+/// PSF from the plan's uv coverage: grid unit visibilities and image them,
+/// corrected for the backend's taper like every image of the loop below.
 /// Peaks at ~1 at pixel (grid_size/2, grid_size/2). Works with any
 /// execution backend (synchronous, pipelined, resilient).
 Array3D<cfloat> make_psf(const GridderBackend& backend, const Plan& plan,

@@ -1,5 +1,7 @@
 #include "idg/image.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "fft/fft.hpp"
 #include "idg/taper.hpp"
@@ -7,29 +9,59 @@
 namespace idg {
 
 namespace {
-void transform_cube(ArrayView<cfloat, 3> cube, fft::Direction direction) {
+void check_cube(ArrayView<const cfloat, 3> cube) {
   IDG_CHECK(cube.dim(0) == kNrPolarizations && cube.dim(1) == cube.dim(2),
             "cube must be [4][n][n]");
-  const std::size_t n = cube.dim(1);
+}
+
+/// Transforms the `count` consecutive n x n images at `in` into `out`
+/// (the same memory for an in-place transform), one image per iteration
+/// of one parallel loop.
+void transform_images(const cfloat* in, cfloat* out, std::size_t count,
+                      std::size_t n, fft::Direction direction) {
   const fft::Plan2D<float>& plan = fft::cached_plan2d<float>(n, direction);
+  const std::size_t pixels = n * n;
 #pragma omp parallel
   {
     // Kept per thread across calls: allocating it per call in every
     // OpenMP thread fragments the malloc arenas and raises peak RSS.
     static thread_local fft::Workspace<float> ws;
 #pragma omp for schedule(static)
-    for (std::size_t p = 0; p < kNrPolarizations; ++p)
-      plan.execute_centred(cube.data() + p * n * n, ws);
+    for (std::size_t i = 0; i < count; ++i) {
+      cfloat* image = out + i * pixels;
+      if (in != out) std::copy_n(in + i * pixels, pixels, image);
+      plan.execute_centred(image, ws);
+    }
   }
 }
 }  // namespace
 
 void fft_grid_to_image(ArrayView<cfloat, 3> cube) {
-  transform_cube(cube, fft::Direction::Backward);
+  check_cube(cube);
+  transform_images(cube.data(), cube.data(), kNrPolarizations, cube.dim(1),
+                   fft::Direction::Backward);
+}
+
+void fft_grid_to_image(ArrayView<const cfloat, 3> grid,
+                       ArrayView<cfloat, 3> image) {
+  check_cube(grid);
+  IDG_CHECK(image.dims() == grid.dims(), "image and grid cubes differ in shape");
+  transform_images(grid.data(), image.data(), kNrPolarizations, grid.dim(1),
+                   fft::Direction::Backward);
 }
 
 void fft_image_to_grid(ArrayView<cfloat, 3> cube) {
-  transform_cube(cube, fft::Direction::Forward);
+  check_cube(cube);
+  transform_images(cube.data(), cube.data(), kNrPolarizations, cube.dim(1),
+                   fft::Direction::Forward);
+}
+
+void fft_image_to_grid(ArrayView<cfloat, 4> planes) {
+  IDG_CHECK(planes.dim(1) == kNrPolarizations && planes.dim(2) == planes.dim(3),
+            "plane stack must be [planes][4][n][n]");
+  transform_images(planes.data(), planes.data(),
+                   planes.dim(0) * kNrPolarizations, planes.dim(2),
+                   fft::Direction::Forward);
 }
 
 namespace {
@@ -39,8 +71,7 @@ Array3D<cfloat> make_dirty_image_with(const Array3D<cfloat>& grid,
   IDG_CHECK(normalization > 0, "normalization must be positive");
   const std::size_t n = grid.dim(1);
   Array3D<cfloat> image(kNrPolarizations, n, n);
-  std::copy(grid.begin(), grid.end(), image.begin());
-  fft_grid_to_image(image.view());
+  fft_grid_to_image(grid.cview(), image.view());
 
   const float scale = static_cast<float>(1.0 / normalization);
 #pragma omp parallel for schedule(static)

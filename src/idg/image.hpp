@@ -25,8 +25,18 @@ namespace idg {
 /// In-place grid -> image transform on a [4][n][n] cube (unnormalized).
 void fft_grid_to_image(ArrayView<cfloat, 3> cube);
 
+/// Grid -> image transform of a [4][n][n] cube into `image` (same shape,
+/// unnormalized): each polarisation is copied and transformed by one
+/// iteration of the same parallel loop.
+void fft_grid_to_image(ArrayView<const cfloat, 3> grid,
+                       ArrayView<cfloat, 3> image);
+
 /// In-place image -> grid transform on a [4][n][n] cube (unnormalized).
 void fft_image_to_grid(ArrayView<cfloat, 3> cube);
+
+/// In-place image -> grid transform of every cube of a [planes][4][n][n]
+/// stack, all planes * 4 transforms in one parallel loop.
+void fft_image_to_grid(ArrayView<cfloat, 4> planes);
 
 /// Produces the taper-corrected dirty image from a gridded visibility cube:
 /// image = shift(IFFT(shift(grid))) / normalization / taper(l, m). The

@@ -23,7 +23,9 @@
 // So gridding and degridding forward to the synchronous Processor, with
 // its scrub policy, deadlines, cancellation, fault sites and moved-byte
 // accounting; this class adds the plan's plane assignment and the
-// plane-combination image transforms.
+// plane-combination image transforms. Those run as fused, row-parallel
+// passes that keep no state between calls and give the same bits as
+// transforming, screening and summing plane by plane (DESIGN.md §9).
 #pragma once
 
 #include "common/array.hpp"
@@ -72,12 +74,13 @@ class WStackProcessor {
                            obs::MetricsSink& sink = obs::null_sink()) const;
 
   /// Combines the plane stack into the taper-corrected dirty image
-  /// (per-plane IFFT, w-screen multiply, sum, correction).
+  /// (per-plane IFFT, w-screen multiply, sum, correction). `grids` must be
+  /// [nr_planes][4][grid][grid]; any other shape is rejected by name.
   Array3D<cfloat> make_dirty_image(ArrayView<const cfloat, 4> grids,
                                    std::uint64_t nr_visibilities) const;
 
-  /// Prepares per-plane model grids from a model image (taper division,
-  /// conjugate w screens, forward FFTs).
+  /// Prepares per-plane model grids from a [4][grid][grid] model image
+  /// (taper division, conjugate w screens, forward FFTs).
   Array4D<cfloat> model_image_to_grids(
       const Array3D<cfloat>& model_image) const;
 

@@ -1,15 +1,20 @@
 // Tests for W-stacking (w-plane model, plan integration, stacked
 // gridding/degridding) and for the triple-buffered pipelined executor.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <random>
+#include <string>
 
 #include "idg/image.hpp"
 #include "idg/pipelined.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
+#include "idg/taper.hpp"
 #include "idg/wplane.hpp"
 #include "idg/wstack.hpp"
 #include "sim/aterm.hpp"
@@ -260,6 +265,183 @@ TEST(WStackTest, GridRoundtripRecoversPointSource) {
   const std::size_t cx = f.params.grid_size / 2 + px;
   const std::size_t cy = f.params.grid_size / 2 + py;
   EXPECT_NEAR(image(0, cy, cx).real(), 1.5f, 0.08f);
+}
+
+// --- plane combination ---------------------------------------------------------------
+
+/// Multiplies a [4][G][G] cube by exp(sign * 2*pi*i * w0 * n(l, m)),
+/// computing the screen in double precision at every pixel: the per-plane
+/// screen pass the fused combination replaced.
+void apply_screen_per_pixel(ArrayView<cfloat, 3> cube, const Parameters& params,
+                            double w0, double sign) {
+  constexpr double kTwoPi = 2.0 * std::numbers::pi;
+  const std::size_t g = params.grid_size;
+  for (std::size_t y = 0; y < g; ++y) {
+    const float m = params.grid_lm(y);
+    for (std::size_t x = 0; x < g; ++x) {
+      const float l = params.grid_lm(x);
+      const double phase = sign * kTwoPi * w0 * compute_n(l, m);
+      const cfloat screen(static_cast<float>(std::cos(phase)),
+                          static_cast<float>(std::sin(phase)));
+      for (std::size_t p = 0; p < kNrPolarizations; ++p)
+        cube(p, y, x) *= screen;
+    }
+  }
+}
+
+/// The dirty image plane by plane: copy the plane, inverse-transform it,
+/// multiply by its screen, add; then scale and taper-correct the sum.
+Array3D<cfloat> per_plane_dirty_image(const WStackProcessor& proc,
+                                      const Array4D<cfloat>& grids,
+                                      std::uint64_t nr_visibilities) {
+  const Parameters& params = proc.parameters();
+  const std::size_t g = params.grid_size;
+  const std::size_t cube = kNrPolarizations * g * g;
+  Array3D<cfloat> accum(kNrPolarizations, g, g);
+  Array3D<cfloat> work(kNrPolarizations, g, g);
+  for (int p = 0; p < proc.wplanes().nr_planes(); ++p) {
+    const cfloat* plane = grids.data() + static_cast<std::size_t>(p) * cube;
+    std::copy(plane, plane + cube, work.begin());
+    fft_grid_to_image(work.view());
+    apply_screen_per_pixel(work.view(), params, proc.wplanes().center(p),
+                           +1.0);
+    for (std::size_t i = 0; i < accum.size(); ++i)
+      accum.data()[i] += work.data()[i];
+  }
+  const Array2D<float> correction = make_taper_correction_for(params);
+  const float scale = 1.0f / static_cast<float>(nr_visibilities);
+  for (std::size_t p = 0; p < kNrPolarizations; ++p)
+    for (std::size_t y = 0; y < g; ++y)
+      for (std::size_t x = 0; x < g; ++x)
+        accum(p, y, x) *= scale * correction(y, x);
+  return accum;
+}
+
+/// The model grids plane by plane: model times correction, times the
+/// conjugate screen, forward-transformed.
+Array4D<cfloat> per_plane_model_grids(const WStackProcessor& proc,
+                                      const Array3D<cfloat>& model) {
+  const Parameters& params = proc.parameters();
+  const std::size_t g = params.grid_size;
+  const std::size_t cube = kNrPolarizations * g * g;
+  Array4D<cfloat> grids = proc.make_grids();
+  const Array2D<float> correction = make_taper_correction_for(params);
+  for (int p = 0; p < proc.wplanes().nr_planes(); ++p) {
+    ArrayView<cfloat, 3> plane(
+        grids.data() + static_cast<std::size_t>(p) * cube,
+        {kNrPolarizations, g, g});
+    for (std::size_t pol = 0; pol < kNrPolarizations; ++pol)
+      for (std::size_t y = 0; y < g; ++y)
+        for (std::size_t x = 0; x < g; ++x)
+          plane(pol, y, x) = model(pol, y, x) * correction(y, x);
+    apply_screen_per_pixel(plane, params, proc.wplanes().center(p), -1.0);
+    fft_image_to_grid(plane);
+  }
+  return grids;
+}
+
+Parameters combination_params(std::size_t grid_size) {
+  Parameters params;
+  params.grid_size = grid_size;
+  params.subgrid_size = 16;
+  params.kernel_size = 4;
+  params.image_size = 0.1;
+  params.nr_stations = 4;
+  return params;
+}
+
+template <typename A>
+void fill_random(A& a, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (auto& v : a) v = {dist(rng), dist(rng)};
+}
+
+/// Sets the OpenMP team size for one scope.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedThreads() { omp_set_num_threads(saved_); }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
+TEST(WStackCombineTest, MatchesThePerPlaneLoopByteForByte) {
+  // The fused passes evaluate each screen row once, mirror it, and run the
+  // transforms in shared parallel loops; the images and grids must still
+  // equal the per-plane loop's to the last bit, for an even and an odd
+  // grid and whatever the thread count.
+  for (const std::size_t g : {std::size_t{64}, std::size_t{75}}) {
+    for (const int planes : {1, 3, 8}) {
+      WStackProcessor proc(combination_params(g), WPlaneModel(planes, 2000.0));
+      Array4D<cfloat> grids = proc.make_grids();
+      fill_random(grids, static_cast<unsigned>(g) + planes);
+      Array3D<cfloat> model(kNrPolarizations, g, g);
+      fill_random(model, static_cast<unsigned>(g) * planes);
+      const std::uint64_t nr_vis = 1000;
+      const Array3D<cfloat> dirty_ref =
+          per_plane_dirty_image(proc, grids, nr_vis);
+      const Array4D<cfloat> model_ref = per_plane_model_grids(proc, model);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("grid " + std::to_string(g) + ", " +
+                     std::to_string(planes) + " plane(s), " +
+                     std::to_string(threads) + " thread(s)");
+        const ScopedThreads team(threads);
+        const Array3D<cfloat> dirty =
+            proc.make_dirty_image(grids.cview(), nr_vis);
+        ASSERT_EQ(dirty.size(), dirty_ref.size());
+        EXPECT_EQ(std::memcmp(dirty.data(), dirty_ref.data(), dirty.bytes()),
+                  0);
+        const Array4D<cfloat> model_grids = proc.model_image_to_grids(model);
+        ASSERT_EQ(model_grids.size(), model_ref.size());
+        EXPECT_EQ(std::memcmp(model_grids.data(), model_ref.data(),
+                              model_grids.bytes()),
+                  0);
+      }
+    }
+  }
+}
+
+/// Expects `fn` to throw idg::Error whose message contains `substring`.
+template <typename Fn>
+void expect_error_containing(Fn fn, const std::string& substring) {
+  try {
+    fn();
+    FAIL() << "expected idg::Error containing '" << substring << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(substring), std::string::npos)
+        << "actual message: " << e.what();
+  }
+}
+
+TEST(WStackCombineTest, PlaneStackOfTheWrongShapeIsRejectedByName) {
+  const std::size_t g = 64;
+  WStackProcessor proc(combination_params(g), WPlaneModel(4, 500.0));
+  const auto dirty_of = [&](std::size_t planes, std::size_t pols,
+                            std::size_t size) {
+    return [&proc, planes, pols, size] {
+      Array4D<cfloat> grids(planes, pols, size, size);
+      proc.make_dirty_image(grids.cview(), 100);
+    };
+  };
+  // Fewer planes than the model, a larger grid, two polarisations.
+  expect_error_containing(dirty_of(3, 4, g), "plane-grid stack is 3x4x64x64");
+  expect_error_containing(dirty_of(4, 4, 2 * g),
+                          "plane-grid stack is 4x4x128x128");
+  expect_error_containing(dirty_of(4, 2, g), "plane-grid stack is 4x2x64x64");
+
+  const auto model_of = [&](std::size_t pols, std::size_t size) {
+    return [&proc, pols, size] {
+      proc.model_image_to_grids(Array3D<cfloat>(pols, size, size));
+    };
+  };
+  expect_error_containing(model_of(4, g + 1), "model image is 4x65x65");
+  expect_error_containing(model_of(2, g), "model image is 2x64x64");
 }
 
 // --- pipelined executor -------------------------------------------------------------
