@@ -4,7 +4,7 @@
 // variants, the coarsened family and — with a toolchain — the JIT twins)
 // for one (subgrid_size, nr_channels, nr_stations) shape and both
 // operations, with warmup/repeat/min-of-N discipline, prints the ranking,
-// and persists the winners into the per-host idg-tune/v1 database that the
+// and persists the winners into the per-host idg-tune/v2 database that the
 // "tuned" kernel set consults.
 //
 //   bench_autotune --subgrid 24 --channels 8 --stations 12

@@ -30,7 +30,7 @@ std::string host_fingerprint();
 ///
 /// Deliberately NOT folded into host_fingerprint(): counter access varies
 /// with kernel settings and container privileges, and must not invalidate
-/// a host's idg-tune/v1 database — the machine is the same machine whether
+/// a host's idg-tune/v2 database — the machine is the same machine whether
 /// or not we may watch its counters.
 struct PerfCounterStatus {
   int paranoid_level = 0;  ///< /proc/sys/kernel/perf_event_paranoid

@@ -63,7 +63,8 @@ void Processor::grid_group_subgrids(const Plan& plan, std::size_t g,
                                     ArrayView<const Visibility, 3> visibilities,
                                     ArrayView<cfloat, 4> subgrids,
                                     obs::MetricsSink& sink) const {
-  const std::size_t n = params_.subgrid_size;
+  // Read only by the fault-injection hooks, which can compile away.
+  [[maybe_unused]] const std::size_t n = params_.subgrid_size;
   const auto items = plan.work_group(g);
   const auto group = static_cast<std::int64_t>(g);
   {
@@ -90,7 +91,8 @@ void Processor::add_group_to_grid(const Plan& plan, std::size_t g,
                                   ArrayView<const cfloat, 4> subgrids,
                                   ArrayView<cfloat, 3> grid,
                                   obs::MetricsSink& sink) const {
-  const std::size_t n = params_.subgrid_size;
+  // Read only by the fault-injection hooks, which can compile away.
+  [[maybe_unused]] const std::size_t n = params_.subgrid_size;
   const auto items = plan.work_group(g);
   const auto group = static_cast<std::int64_t>(g);
   {

@@ -63,7 +63,7 @@ std::string cpu_model_name() {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader for the idg-tune/v1 schema. Strict: anything the
+// Minimal JSON reader for the idg-tune/v2 schema. Strict: anything the
 // writer below would not produce — truncation, stray bytes, wrong types —
 // is a named parse error.
 // ---------------------------------------------------------------------------
@@ -515,8 +515,7 @@ double time_candidate(const KernelSet& kernels, TuneOp op, Workload& w,
 }  // namespace
 
 std::vector<std::string> default_tune_candidates() {
-  std::vector<std::string> names = {"optimized", "optimized-lut",
-                                    "optimized-phasor"};
+  std::vector<std::string> names = {"optimized", "optimized-lut"};
   for (const std::string& name : coarsened_variant_names())
     names.push_back(name);
   for (const std::string& name : jit_coarsened_variant_names())

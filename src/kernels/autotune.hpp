@@ -7,7 +7,7 @@
 // then min-of-N repeats — and persists the winner per shape and operation
 // in a tuning database:
 //
-//   schema  idg-tune/v1 (JSON, atomic write-to-temp+rename like
+//   schema  idg-tune/v2 (JSON, atomic write-to-temp+rename like
 //           common/checkpoint)
 //   key     host fingerprint (uname machine + CPU model + thread count;
 //           deliberately timing-free so it is stable run to run) —
@@ -69,11 +69,14 @@ struct TuneEntry {
 /// meaningless on another, so the database is keyed by this string.
 std::string host_fingerprint();
 
-/// The persistent idg-tune/v1 database: entries keyed by (op, shape) for
+/// The persistent idg-tune/v2 database: entries keyed by (op, shape) for
 /// one host.
 class TuningDatabase {
  public:
-  static constexpr const char* kSchema = "idg-tune/v1";
+  /// v2: the optimized kernels gained the pixel-lane gridder and the
+  /// channel recurrence, so winners measured against the v1 kernels are
+  /// stale and a v1 file is rejected.
+  static constexpr const char* kSchema = "idg-tune/v2";
 
   /// An empty database for this host.
   TuningDatabase();

@@ -14,30 +14,6 @@ namespace {
 using internal::padded;
 using internal::Scratch;
 
-/// Stages the item's uvw coordinates and channel wavenumbers into the
-/// scratch arrays (the gridder gets these from gather_visibility_batch; the
-/// degridder has to stage them itself).
-void stage_uvw_and_wavenumbers(const KernelData& data, const WorkItem& item,
-                               Scratch& s) {
-  const std::size_t nt = static_cast<std::size_t>(item.nr_timesteps);
-  s.u.resize(nt);
-  s.v.resize(nt);
-  s.w.resize(nt);
-  for (std::size_t t = 0; t < nt; ++t) {
-    const UVW& coord =
-        data.uvw(static_cast<std::size_t>(item.baseline),
-                 static_cast<std::size_t>(item.time_begin) + t);
-    s.u[t] = coord.u;
-    s.v[t] = coord.v;
-    s.w[t] = coord.w;
-  }
-  s.k.resize(static_cast<std::size_t>(item.nr_channels));
-  for (int c = 0; c < item.nr_channels; ++c) {
-    s.k[static_cast<std::size_t>(c)] =
-        data.wavenumbers[static_cast<std::size_t>(item.channel_begin + c)];
-  }
-}
-
 template <int V, int P, int C>
 class CoarsenedKernels final : public KernelSet {
  public:
@@ -199,7 +175,7 @@ class CoarsenedKernels final : public KernelSet {
     internal::fill_geometry(params, item, geom, s);
     internal::load_degridder_pixels(params, data, item, slot_index, subgrids,
                                     n2p, s);
-    stage_uvw_and_wavenumbers(data, item, s);
+    internal::stage_uvw_and_wavenumbers(data, item, s);
 
     const std::size_t block_cap =
         static_cast<std::size_t>(V) * static_cast<std::size_t>(C) * n2p;

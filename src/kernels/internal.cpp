@@ -74,6 +74,24 @@ void fill_geometry(const Parameters& params, const WorkItem& item,
   }
 }
 
+void stage_uvw_and_wavenumbers(const KernelData& data, const WorkItem& item,
+                               Scratch& s) {
+  const std::size_t nt = static_cast<std::size_t>(item.nr_timesteps);
+  s.u.resize(nt);
+  s.v.resize(nt);
+  s.w.resize(nt);
+  for (std::size_t t = 0; t < nt; ++t) {
+    const UVW& coord =
+        data.uvw(static_cast<std::size_t>(item.baseline),
+                 static_cast<std::size_t>(item.time_begin) + t);
+    s.u[t] = coord.u;
+    s.v[t] = coord.v;
+    s.w[t] = coord.w;
+  }
+  const auto first = data.wavenumbers.begin() + item.channel_begin;
+  s.k.assign(first, first + item.nr_channels);
+}
+
 void gather_visibility_batch(const Parameters& /*params*/,
                              const KernelData& data, const WorkItem& item,
                              ArrayView<const Visibility, 3> visibilities,
@@ -95,22 +113,9 @@ void gather_visibility_batch(const Parameters& /*params*/,
       }
     }
   }
-  s.u.resize(nt);
-  s.v.resize(nt);
-  s.w.resize(nt);
-  s.k.resize(ncp);
-  for (std::size_t c = 0; c < nc; ++c) {
-    s.k[c] =
-        data.wavenumbers[static_cast<std::size_t>(item.channel_begin) + c];
-  }
-  for (std::size_t c = nc; c < ncp; ++c) s.k[c] = 0.0f;
+  stage_uvw_and_wavenumbers(data, item, s);
+  s.k.resize(ncp, 0.0f);
   for (std::size_t t = 0; t < nt; ++t) {
-    const UVW& coord =
-        data.uvw(static_cast<std::size_t>(item.baseline),
-                 static_cast<std::size_t>(item.time_begin) + t);
-    s.u[t] = coord.u;
-    s.v[t] = coord.v;
-    s.w[t] = coord.w;
     for (std::size_t c = 0; c < nc; ++c) {
       const Visibility& vis = visibilities(
           static_cast<std::size_t>(item.baseline),

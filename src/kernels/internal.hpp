@@ -41,10 +41,12 @@ struct Scratch {
   AlignedVector<float> offset;
   // Transposed split re/im visibilities or pixels: [pol][element].
   AlignedVector<float> re[4], im[4];
+  // Visibilities staged by the optimized gridder: [t][c][pol re/im].
+  AlignedVector<float> vis;
   // Phase/sincos batch buffers.
   AlignedVector<float> phase, sin_v, cos_v;
-  // Per-timestep uvw and geometry base term of the current item.
-  AlignedVector<float> u, v, w, base;
+  // Per-timestep uvw of the current item.
+  AlignedVector<float> u, v, w;
   // Local wavenumbers for the item's channel range.
   AlignedVector<float> k;
 
@@ -57,6 +59,11 @@ Scratch& scratch();
 /// geometry table, zero-padded to a SIMD multiple.
 void fill_geometry(const Parameters& params, const WorkItem& item,
                    const GeometryTable& geom, Scratch& s);
+
+/// Stages the item's uvw coordinates into s.u/s.v/s.w and its channel
+/// wavenumbers into s.k.
+void stage_uvw_and_wavenumbers(const KernelData& data, const WorkItem& item,
+                               Scratch& s);
 
 /// Loads and transposes the item's visibility block into aligned split
 /// re/im arrays [pol][t * ncp + c] (channels zero-padded to ncp), copies

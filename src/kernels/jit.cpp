@@ -578,23 +578,7 @@ class JitKernels final : public KernelSet {
                                         s);
         // The degridder also needs the item's uvw and wavenumbers staged
         // (the gridder path fills these inside gather_visibility_batch).
-        const std::size_t nt = static_cast<std::size_t>(item.nr_timesteps);
-        s.u.resize(nt);
-        s.v.resize(nt);
-        s.w.resize(nt);
-        for (std::size_t t = 0; t < nt; ++t) {
-          const UVW& coord =
-              data.uvw(static_cast<std::size_t>(item.baseline),
-                       static_cast<std::size_t>(item.time_begin) + t);
-          s.u[t] = coord.u;
-          s.v[t] = coord.v;
-          s.w[t] = coord.w;
-        }
-        s.k.resize(static_cast<std::size_t>(item.nr_channels));
-        for (int c = 0; c < item.nr_channels; ++c) {
-          s.k[static_cast<std::size_t>(c)] = data.wavenumbers
-              [static_cast<std::size_t>(item.channel_begin + c)];
-        }
+        internal::stage_uvw_and_wavenumbers(data, item, s);
         out.resize(static_cast<std::size_t>(item.nr_timesteps) *
                    static_cast<std::size_t>(item.nr_channels) * 8);
         shape.degridder(item.nr_timesteps, geom.l.data(), geom.m.data(), geom.n.data(),

@@ -2,13 +2,24 @@
 //
 // The optimized gridder/degridder implement the paper's three CPU
 // optimizations:
-//  (1) visibility batches are loaded and *transposed* into memory-aligned
-//      split real/imaginary arrays for non-strided access;
+//  (1) each work item's visibilities are staged once into aligned arrays
+//      (gridder: [t][c][pol re/im], broadcast into the SIMD lanes; degridder:
+//      A-term-corrected pixels as split re/im arrays);
 //  (2) the sine/cosine evaluations are performed over whole batches with a
 //      vectorized math library (vmath — our SVML stand-in) or a lookup
 //      table;
-//  (3) the polarization accumulation is written as a SIMD reduction over
-//      channels (gridder, Listing 1) / over pixels (degridder).
+//  (3) the polarization accumulation is vectorized: the gridder puts a tile
+//      of pixels in the SIMD lanes with its eight accumulators in registers;
+//      the degridder is a SIMD reduction over pixels.
+//
+// Both kernels also make the "algorithmic change" of §VI-C1 ("we cannot use
+// the full computational capacity of HASWELL and FIJI without algorithmic
+// changes"). For uniformly spaced channels the phase is linear in the
+// channel index, phi(t, c) = phi(t, 0) + c * base(pixel, t) * dk, so each
+// (pixel, timestep) evaluates sincos only for the channel-0 phasor and the
+// rotator e^{i base dk}, and advances every further channel by one complex
+// multiply. Items whose wavenumbers are not uniform (or that have fewer
+// than three channels) evaluate one sincos per channel in the same loops.
 //
 // Variants registered: "reference" (scalar transcription of the
 // pseudocode), "optimized" (vmath polynomial sincos), "optimized-lut"
@@ -32,18 +43,8 @@ const KernelSet& optimized_kernels();       // vmath polynomial
 const KernelSet& optimized_lut_kernels();   // lookup table
 const KernelSet& optimized_libm_kernels();  // scalar libm
 
-/// The "algorithmic change" the paper's §VI-C1 alludes to ("we cannot use
-/// the full computational capacity of HASWELL and FIJI without algorithmic
-/// changes"): for uniformly spaced channels the inner-loop phase is linear
-/// in the channel index, phi(t, c) = phi(t, 0) + c * base * dk, so the
-/// phasor can be advanced by one complex rotation per channel instead of a
-/// fresh sincos — reducing the sincos count by the channel factor and
-/// pushing rho far beyond 17. Falls back to the generic optimized kernels
-/// for non-uniform channel layouts.
-const KernelSet& optimized_phasor_kernels();
-
 /// Lookup by name: "reference", "optimized", "optimized-lut",
-/// "optimized-libm", "optimized-phasor", "jit", "tuned" (tuning-database
+/// "optimized-libm", "jit", "tuned" (tuning-database
 /// dispatch, kernels/autotune.hpp), the statically-instantiated coarsened
 /// family "coarsen<V>x<P>c<C>" (kernels/coarsen.hpp) and its
 /// runtime-compiled twins "jit-coarsen<V>x<P>c<C>". Throws idg::Error for

@@ -1,5 +1,5 @@
 // Tests for the kernel autotuner (kernels/autotune.hpp, DESIGN.md §14):
-// the idg-tune/v1 database round-trip and its named failure modes, the
+// the idg-tune/v2 database round-trip and its named failure modes, the
 // "tuned" dispatch (database hit, miss, unknown winner, double-precision
 // delegation) and a bounded end-to-end autotuning run.
 #include <gtest/gtest.h>
@@ -90,7 +90,7 @@ TEST(TuningDatabaseTest, SaveLoadRoundTrip) {
   TuningDatabase db;
   db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "coarsen4x2c4",
                     0.001234567890123456, 0.0023456789012345));
-  db.put(make_entry(TuneOp::kDegrid, {24, 8, 12}, "optimized-phasor", 0.5,
+  db.put(make_entry(TuneOp::kDegrid, {24, 8, 12}, "optimized-lut", 0.5,
                     0.75));
   db.put(make_entry(TuneOp::kGrid, {16, 1, 3}, "optimized", 1e-9, 1e-9));
   db.save(path);
@@ -259,6 +259,33 @@ TEST(TunedDispatchTest, UnknownWinnerFallsBackToOptimized) {
   kernels::set_process_tuning_database(TuningDatabase{});
 }
 
+TEST(TunedDispatchTest, DatabaseOfOlderKernelsFallsBackToOptimized) {
+  // A v1 database was measured against kernels that no longer exist; its
+  // winners may now be several times slower than "optimized". Loading it
+  // is a named error, and dispatch stays on the fallback until re-tuned.
+  const auto f = DispatchFixture::make();
+  const std::string path = temp_path("idg_test_tune_v1.json");
+  TuningDatabase db;
+  db.put(make_entry(TuneOp::kGrid, f.shape(), "coarsen2x2c2", 1.0, 2.0));
+  db.save(path);
+  std::string text = read_file(path);
+  const std::string current = TuningDatabase::kSchema;
+  const std::size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, current.size(), "idg-tune/v1");
+  write_file(path, text);
+
+  expect_error_containing([&] { TuningDatabase::load(path); },
+                          "schema mismatch");
+  EXPECT_NE(kernels::reload_process_tuning_database(path).find(
+                "schema mismatch"),
+            std::string::npos);
+  EXPECT_TRUE(bit_identical(f.grid_with(kernels::tuned_kernels()),
+                            f.grid_with(kernels::optimized_kernels())));
+  kernels::set_process_tuning_database(TuningDatabase{});
+  std::remove(path.c_str());
+}
+
 TEST(TunedDispatchTest, DoubleAccumulationDelegatesToReference) {
   auto f = DispatchFixture::make();
   f.params.accumulation = Accumulation::kDouble;
@@ -294,7 +321,7 @@ TEST(AutotuneTest, TunesPersistsAndDrivesDispatch) {
   opts.repeats = 1;
   opts.nr_items = 2;
   opts.nr_timesteps = 4;
-  opts.candidates = {"optimized", "optimized-phasor"};
+  opts.candidates = {"optimized", "coarsen4x2c4"};
 
   TuningDatabase db;
   const auto results = kernels::autotune(db, params, /*nr_channels=*/4, opts);
@@ -304,7 +331,7 @@ TEST(AutotuneTest, TunesPersistsAndDrivesDispatch) {
     // The winner is one of the candidates, measured, with the optimized
     // baseline recorded alongside (so speedup() is meaningful).
     EXPECT_TRUE(r.entry.kernel_set == "optimized" ||
-                r.entry.kernel_set == "optimized-phasor")
+                r.entry.kernel_set == "coarsen4x2c4")
         << r.entry.kernel_set;
     EXPECT_GT(r.entry.seconds, 0.0);
     EXPECT_GT(r.entry.baseline_seconds, 0.0);

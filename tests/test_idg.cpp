@@ -806,7 +806,9 @@ TEST(AdderTest, TileBinningCoversEachTileItemPairOnce) {
       EXPECT_FALSE(listed[i]) << "item " << i << " listed twice in tile "
                               << tile;
       listed[i] = true;
-      if (!first) EXPECT_LE(last_order, sc.items[i].order);
+      if (!first) {
+        EXPECT_LE(last_order, sc.items[i].order);
+      }
       last_order = sc.items[i].order;
       first = false;
     }

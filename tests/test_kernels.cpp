@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <numbers>
 #include <random>
 
@@ -237,8 +238,7 @@ TEST_P(OptimizedVsReference, DegridderMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Variants, OptimizedVsReference,
                          ::testing::Values("optimized", "optimized-libm",
-                                           "optimized-lut",
-                                           "optimized-phasor"));
+                                           "optimized-lut"));
 
 // Every statically-instantiated coarsened variant, plus the JIT twins
 // (which fall back to their static coarsen counterpart without a
@@ -257,6 +257,85 @@ INSTANTIATE_TEST_SUITE_P(
 // divide C, subgrid sizes that do not divide P, timestep runs shorter than
 // V — down to single-visibility and single-channel items) must be handled
 // by shortened blocks, bit-compatible in structure with the full blocks.
+
+/// sqrt(sum |got - ref|^2 / sum |ref|^2) over `count` complex values.
+template <typename At>
+double relative_l2(std::size_t count, At at) {
+  double err = 0.0, norm = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [got, ref] = at(i);
+    err += std::norm(std::complex<double>(got) - std::complex<double>(ref));
+    norm += std::norm(std::complex<double>(ref));
+  }
+  return std::sqrt(err / norm);
+}
+
+/// Grids the dataset's visibilities and degrids random subgrids with
+/// `candidate` and with the reference kernels. Bounds the max error against
+/// the peak (5e-3 gridder, 1e-2 degridder) and, when `max_l2` > 0, the
+/// relative l2 error.
+void expect_matches_reference(const KernelSet& candidate,
+                              const Parameters& params,
+                              const sim::Dataset& ds, const Plan& plan,
+                              const KernelData& data, double max_l2 = 0.0) {
+  const std::size_t n = params.subgrid_size;
+  Array4D<cfloat> ref(plan.nr_subgrids(), 4, n, n);
+  Array4D<cfloat> got(plan.nr_subgrids(), 4, n, n);
+  reference_kernels().grid(params, data, plan.items(),
+                           ds.visibilities.cview(), ref.view());
+  candidate.grid(params, data, plan.items(), ds.visibilities.cview(),
+                 got.view());
+  double max_err = 0.0, max_val = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    max_err = std::max(max_err, static_cast<double>(std::abs(
+                                    ref.data()[i] - got.data()[i])));
+    max_val = std::max(max_val, static_cast<double>(std::abs(ref.data()[i])));
+  }
+  EXPECT_LT(max_err, 5e-3 * std::max(max_val, 1.0))
+      << candidate.name() << " gridder: max_err=" << max_err;
+  if (max_l2 > 0.0) {
+    EXPECT_LT(relative_l2(ref.size(),
+                          [&](std::size_t i) {
+                            return std::pair(got.data()[i], ref.data()[i]);
+                          }),
+              max_l2)
+        << candidate.name() << " gridder";
+  }
+
+  Array4D<cfloat> subgrids(plan.nr_subgrids(), 4, n, n);
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (auto& v : subgrids) v = {dist(rng), dist(rng)};
+  Array3D<Visibility> vref(ds.nr_baselines(), ds.nr_timesteps(),
+                           ds.nr_channels());
+  Array3D<Visibility> vgot(ds.nr_baselines(), ds.nr_timesteps(),
+                           ds.nr_channels());
+  reference_kernels().degrid(params, data, plan.items(), subgrids.cview(),
+                             vref.view());
+  candidate.degrid(params, data, plan.items(), subgrids.cview(), vgot.view());
+  max_err = 0.0;
+  max_val = 0.0;
+  for (std::size_t i = 0; i < vref.size(); ++i) {
+    for (int p = 0; p < kNrPolarizations; ++p) {
+      max_err = std::max(max_err,
+                         static_cast<double>(std::abs(vref.data()[i][p] -
+                                                      vgot.data()[i][p])));
+      max_val = std::max(max_val,
+                         static_cast<double>(std::abs(vref.data()[i][p])));
+    }
+  }
+  EXPECT_LT(max_err, 1e-2 * std::max(max_val, 1.0))
+      << candidate.name() << " degridder: max_err=" << max_err;
+  if (max_l2 > 0.0) {
+    EXPECT_LT(relative_l2(vref.size() * kNrPolarizations,
+                          [&](std::size_t i) {
+                            return std::pair(vgot.data()[i / 4][i % 4],
+                                             vref.data()[i / 4][i % 4]);
+                          }),
+              max_l2)
+        << candidate.name() << " degridder";
+  }
+}
 
 struct RaggedShape {
   int nr_channels;
@@ -305,50 +384,7 @@ TEST_P(CoarsenedRaggedShapes, GridderAndDegridderMatchReference) {
     KernelData data{ds.uvw.cview(), plan.wavenumbers(), aterms.cview(),
                     taper.cview()};
 
-    // Gridder.
-    const std::size_t n = params.subgrid_size;
-    Array4D<cfloat> ref(plan.nr_subgrids(), 4, n, n);
-    Array4D<cfloat> got(plan.nr_subgrids(), 4, n, n);
-    reference_kernels().grid(params, data, plan.items(),
-                             ds.visibilities.cview(), ref.view());
-    candidate.grid(params, data, plan.items(), ds.visibilities.cview(),
-                   got.view());
-    double max_err = 0.0, max_val = 0.0;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      max_err = std::max(max_err, static_cast<double>(std::abs(
-                                      ref.data()[i] - got.data()[i])));
-      max_val = std::max(max_val,
-                         static_cast<double>(std::abs(ref.data()[i])));
-    }
-    EXPECT_LT(max_err, 5e-3 * std::max(max_val, 1.0))
-        << candidate.name() << " gridder: max_err=" << max_err;
-
-    // Degridder.
-    Array4D<cfloat> subgrids(plan.nr_subgrids(), 4, n, n);
-    std::mt19937 rng(31);
-    std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-    for (auto& v : subgrids) v = {dist(rng), dist(rng)};
-    Array3D<Visibility> vref(ds.nr_baselines(), ds.nr_timesteps(),
-                             ds.nr_channels());
-    Array3D<Visibility> vgot(ds.nr_baselines(), ds.nr_timesteps(),
-                             ds.nr_channels());
-    reference_kernels().degrid(params, data, plan.items(), subgrids.cview(),
-                               vref.view());
-    candidate.degrid(params, data, plan.items(), subgrids.cview(),
-                     vgot.view());
-    max_err = 0.0;
-    max_val = 0.0;
-    for (std::size_t i = 0; i < vref.size(); ++i) {
-      for (int p = 0; p < kNrPolarizations; ++p) {
-        max_err = std::max(max_err,
-                           static_cast<double>(std::abs(vref.data()[i][p] -
-                                                        vgot.data()[i][p])));
-        max_val = std::max(max_val,
-                           static_cast<double>(std::abs(vref.data()[i][p])));
-      }
-    }
-    EXPECT_LT(max_err, 1e-2 * std::max(max_val, 1.0))
-        << candidate.name() << " degridder: max_err=" << max_err;
+    expect_matches_reference(candidate, params, ds, plan, data);
   }
 }
 
@@ -358,6 +394,75 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     JitCoarsened, CoarsenedRaggedShapes,
     ::testing::ValuesIn(kernels::jit_coarsened_variant_names()));
+
+// --- the optimized kernels' input-dependent paths --------------------------------
+//
+// The optimized kernels choose their inner loop from the input: uniformly
+// spaced channels take the channel-phasor recurrence; non-uniform spacing,
+// and items of one or two channels, evaluate one sincos per channel. The
+// gridder's last pixel tile is partial when N^2 is not a multiple of its
+// lane count. Each case is bounded like OptimizedVsReference, and also in
+// relative l2 against the reference kernels.
+
+struct PathCase {
+  const char* name;
+  int nr_channels;
+  std::size_t subgrid_size;
+  float w_scale;
+  bool uniform_channels;
+};
+
+class OptimizedPaths : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OptimizedPaths, GridderAndDegridderMatchReference) {
+  const KernelSet& candidate = kernels::kernel_set(GetParam());
+  const PathCase cases[] = {
+      {"16 uniform channels", 16, 24, 1.0f, true},
+      {"1 channel", 1, 24, 1.0f, true},
+      {"non-uniform channels", 8, 24, 1.0f, false},
+      {"N^2 not a multiple of the lanes", 5, 18, 1.0f, true},
+      {"w x 40", 8, 24, 40.0f, true},
+  };
+  for (const PathCase& pc : cases) {
+    SCOPED_TRACE(pc.name);
+    sim::BenchmarkConfig cfg;
+    cfg.nr_stations = 6;
+    cfg.nr_timesteps = 48;
+    cfg.nr_channels = pc.nr_channels;
+    cfg.grid_size = 256;
+    cfg.subgrid_size = pc.subgrid_size;
+    auto ds = sim::make_benchmark_dataset(cfg);
+    for (UVW& c : ds.uvw) c.w *= pc.w_scale;
+    if (!pc.uniform_channels) {
+      // Quadratic spacing: channel c moves by up to 0.2 % of its frequency,
+      // thousands of float ulps away from any uniform grid.
+      const double last = static_cast<double>(ds.frequencies.size() - 1);
+      for (std::size_t c = 0; c < ds.frequencies.size(); ++c)
+        ds.frequencies[c] *= 1.0 + 2e-3 * (c / last) * (c / last);
+    }
+
+    Parameters params;
+    params.grid_size = cfg.grid_size;
+    params.subgrid_size = cfg.subgrid_size;
+    params.image_size = ds.image_size;
+    params.nr_stations = cfg.nr_stations;
+    params.kernel_size = 8;
+    params.aterm_interval = 16;
+    params.max_timesteps_per_subgrid = 32;
+    Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
+    auto aterms = sim::make_phase_screen_aterms(
+        48 / 16, cfg.nr_stations, cfg.subgrid_size, ds.image_size, 1.0, 9);
+    auto taper = make_taper(cfg.subgrid_size);
+    KernelData data{ds.uvw.cview(), plan.wavenumbers(), aterms.cview(),
+                    taper.cview()};
+    expect_matches_reference(candidate, params, ds, plan, data,
+                             /*max_l2=*/1e-5);
+  }
+}
+
+// The LUT sincos is ~1e-3 accurate, far above the l2 bound.
+INSTANTIATE_TEST_SUITE_P(Variants, OptimizedPaths,
+                         ::testing::Values("optimized", "optimized-libm"));
 
 // --- runtime-compiled kernels ---------------------------------------------------
 
