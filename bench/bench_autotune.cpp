@@ -1,9 +1,9 @@
-// Kernel-variant autotuner driver (DESIGN.md §14).
+// Kernel-set autotuner driver (DESIGN.md §14).
 //
-// Benchmarks the registered kernel-variant family (optimized, sincos
-// variants, the coarsened family and — with a toolchain — the JIT twins)
-// for one (subgrid_size, nr_channels, nr_stations) shape and both
-// operations, with warmup/repeat/min-of-N discipline, prints the ranking,
+// Benchmarks the single-precision kernel sets (optimized, its LUT sincos
+// variant and — with a toolchain — the runtime-compiled jit) for one
+// (subgrid_size, nr_channels, nr_stations) shape and both operations,
+// with warmup/repeat/min-of-N discipline, prints the ranking,
 // and persists the winners into the per-host idg-tune/v2 database that the
 // "tuned" kernel set consults.
 //

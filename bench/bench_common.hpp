@@ -43,6 +43,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/report.hpp"
+#include "idg/accuracy.hpp"
 #include "idg/backend.hpp"
 #include "kernels/autotune.hpp"
 #include "kernels/optimized.hpp"
@@ -221,7 +222,10 @@ inline kernels::AutotuneOptions autotune_options_from(const Options& opts) {
 }
 
 /// Resolves the kernel set a bench runs: --kernel-set NAME (or the legacy
-/// --kernels NAME) selects a registry entry, default "optimized". With
+/// --kernels NAME) selects a registry entry; without one the default is
+/// the tier's accuracy::preferred_kernel_set when --epsilon is given (a
+/// set that implements the tier's accumulation precision), else
+/// "optimized". With
 /// --tune, the autotuner first benchmarks the candidate family on this
 /// setup's (subgrid_size, nr_channels, nr_stations) shape with min-of-N
 /// discipline, persists the winners into the tuning database (--tune-db
@@ -252,7 +256,10 @@ inline const KernelSet& kernel_set_from_options(const Options& opts,
     return kernels::kernel_set("tuned");
   }
   std::string name = opts.get("kernel-set", std::string{});
-  if (name.empty()) name = opts.get("kernels", std::string("optimized"));
+  if (name.empty()) name = opts.get("kernels", std::string{});
+  if (name.empty())
+    name = opts.has("epsilon") ? accuracy::preferred_kernel_set(params)
+                               : "optimized";
   return kernels::kernel_set(name);
 }
 

@@ -139,7 +139,7 @@ SweepPoint run_point(double epsilon, const sim::BenchmarkConfig& base_cfg,
          {dist(rng), dist(rng)},
          {dist(rng), dist(rng)}};
 
-  // The tier's preferred kernel set (LUT sincos for preview, the
+  // The tier's preferred kernel set ("tuned" for preview, the
   // accumulation-honouring reference set for the tighter tiers).
   point.kernels = accuracy::preferred_kernel_set(params);
   const KernelSet& kernels = kernels::kernel_set(point.kernels);

@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the individual components: kernel
-// variants (the §V-B optimization ablation plus the coarsened family of
-// DESIGN.md §14), subgrid FFTs, adder/splitter and the vectorized math
-// library.
+// sets (the §V-B optimization ablation: reference, the three sincos paths
+// of the optimized loops, their runtime-compiled twin and the tuned
+// dispatch), subgrid FFTs, adder/splitter and the vectorized math library.
 //
 // The gridder/degridder benches are registered dynamically over the kernel
 // registry:

@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
   // --backend selects the execution strategy: "synchronous" (default),
   // "pipelined" (the paper's triple-buffered Fig 7 pipeline) or
   // "resilient[:inner]". The kernel set honouring the contract is named by
-  // accuracy::preferred_kernel_set (the LUT sincos path for the preview
-  // tier, the reference set — which implements double accumulation — for
-  // the tighter tiers).
+  // accuracy::preferred_kernel_set ("tuned" for the preview tier, the
+  // reference set — which implements double accumulation — for the tighter
+  // tiers).
   // A-terms are sampled on the subgrid raster, so they follow the
   // contract's (possibly padded) params.subgrid_size, not the cfg knob.
   auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,

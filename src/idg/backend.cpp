@@ -85,6 +85,7 @@ BackendOptions parse_backend_spec(const std::string& spec) {
 std::unique_ptr<GridderBackend> make_backend(const BackendOptions& options,
                                              const Parameters& params) {
   const KernelSet& kernels = resolve_kernels(options);
+  check_accumulation(kernels, params);
   const auto executor = canonical_executor(options.executor);
   if (!executor) throw_unknown_backend(options.executor);
 

@@ -211,12 +211,14 @@ struct BackendOptions {
   /// reference set honours Parameters::accumulation, so an
   /// epsilon-configured Parameters keeps its accuracy contract with the
   /// default. Callers linking the optimized kernel library can resolve
-  /// accuracy::preferred_kernel_set(params) for the tier's faster sincos
-  /// path. Must outlive the returned backend.
+  /// accuracy::preferred_kernel_set(params) for the tier's faster kernels.
+  /// make_backend() rejects a set that does not implement
+  /// params.accumulation (check_accumulation). Must outlive the returned
+  /// backend.
   const KernelSet* kernels = nullptr;
 
   /// Registry name of the kernel set to run ("tuned", "optimized",
-  /// "coarsen4x2c4", ...), resolved at make_backend() time when `kernels`
+  /// "jit", ...), resolved at make_backend() time when `kernels`
   /// is null; empty keeps the `kernels`/reference behaviour above.
   /// "reference" always resolves; every other name needs the idg_kernels
   /// library linked (it installs the registry resolver below at static

@@ -74,6 +74,12 @@ class KernelSet {
   virtual ~KernelSet() = default;
   virtual std::string name() const = 0;
 
+  /// Whether the set accumulates in `accumulation` when
+  /// Parameters::accumulation asks for it. A set that does not would run
+  /// another precision silently, so make_backend rejects it by name
+  /// (check_accumulation).
+  virtual bool implements(Accumulation accumulation) const = 0;
+
   /// Algorithm 1 for every work item: accumulates the phase-shifted
   /// visibilities into image-domain subgrid pixels, then applies the A-term
   /// sandwich (A_p^H S A_q) and the taper.
@@ -92,6 +98,19 @@ class KernelSet {
                       ArrayView<const cfloat, 4> subgrids,
                       ArrayView<Visibility, 3> visibilities) const = 0;
 };
+
+/// Rejects, by name, a kernel set that does not implement the parameters'
+/// accumulation precision (a single-precision set under an epsilon whose
+/// tier needs double accumulation would miss the contract silently).
+inline void check_accumulation(const KernelSet& kernels,
+                               const Parameters& params) {
+  IDG_CHECK(kernels.implements(params.accumulation),
+            "kernel set '" << kernels.name() << "' does not implement "
+                           << to_string(params.accumulation)
+                           << "-precision accumulation, which the parameters "
+                              "ask for; choose 'reference' or 'tuned', or "
+                              "the tier's accuracy::preferred_kernel_set");
+}
 
 /// The straightforward scalar implementation; single source of truth for
 /// correctness.

@@ -220,6 +220,8 @@ class ReferenceKernels final : public KernelSet {
  public:
   std::string name() const override { return "reference"; }
 
+  bool implements(Accumulation) const override { return true; }
+
   void grid(const Parameters& params, const KernelData& data,
             std::span<const WorkItem> items,
             ArrayView<const Visibility, 3> visibilities,

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <random>
@@ -16,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "idg/taper.hpp"
-#include "kernels/coarsen.hpp"
 #include "kernels/jit.hpp"
 #include "kernels/optimized.hpp"
 
@@ -387,8 +387,9 @@ std::string default_tuning_database_path() {
     base = "/tmp";
   }
   const std::string dir = base + "/idg";
-  const std::string cmd = "mkdir -p '" + dir + "'";
-  if (std::system(cmd.c_str()) != 0) return "/tmp/idg-tune.json";
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) return "/tmp/idg-tune.json";
   return dir + "/tune.json";
 }
 
@@ -516,10 +517,6 @@ double time_candidate(const KernelSet& kernels, TuneOp op, Workload& w,
 
 std::vector<std::string> default_tune_candidates() {
   std::vector<std::string> names = {"optimized", "optimized-lut"};
-  for (const std::string& name : coarsened_variant_names())
-    names.push_back(name);
-  for (const std::string& name : jit_coarsened_variant_names())
-    names.push_back(name);
   if (jit_available()) names.push_back("jit");
   return names;
 }
@@ -612,6 +609,9 @@ class TunedKernels final : public KernelSet {
  public:
   std::string name() const override { return "tuned"; }
 
+  /// Double accumulation delegates to the reference kernels (resolve()).
+  bool implements(Accumulation) const override { return true; }
+
   void grid(const Parameters& params, const KernelData& data,
             std::span<const WorkItem> items,
             ArrayView<const Visibility, 3> visibilities,
@@ -651,8 +651,8 @@ class TunedKernels final : public KernelSet {
         try {
           chosen = &kernel_set(entry->kernel_set);
         } catch (const Error&) {
-          // A database naming a kernel this build does not have (e.g. a
-          // JIT variant without a toolchain) falls back to "optimized".
+          // A database naming a kernel set this build does not have (one
+          // recorded before a set was removed) falls back to "optimized".
         }
       }
     }

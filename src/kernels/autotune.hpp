@@ -1,11 +1,11 @@
-// Autotuner for the kernel variant family (DESIGN.md §14).
+// Autotuner over the single-precision kernel sets (DESIGN.md §14).
 //
-// The best coarsening factors depend strongly on problem shape (Merry,
-// arXiv 1605.07023), so instead of hand-picking one variant the autotuner
-// benchmarks every candidate on a deterministic synthetic workload of the
-// actual (subgrid_size, nr_channels, nr_stations) shape — warmup runs,
-// then min-of-N repeats — and persists the winner per shape and operation
-// in a tuning database:
+// Which set is fastest depends on the host and the problem shape (the
+// runtime-compiled loops win on builds without -march=native), so instead
+// of hand-picking one the autotuner benchmarks every candidate on a
+// deterministic synthetic workload of the actual (subgrid_size,
+// nr_channels, nr_stations) shape — warmup runs, then min-of-N repeats —
+// and persists the winner per shape and operation in a tuning database:
 //
 //   schema  idg-tune/v2 (JSON, atomic write-to-temp+rename like
 //           common/checkpoint)
@@ -123,9 +123,8 @@ struct AutotuneOptions {
   std::vector<std::string> candidates;
 };
 
-/// The default candidate set: the single-precision family ("optimized",
-/// sincos variants, every coarsened variant, plus the JIT twins when a
-/// toolchain is available).
+/// The default candidate set: "optimized", "optimized-lut", and "jit" when
+/// a toolchain is available.
 std::vector<std::string> default_tune_candidates();
 
 /// One candidate's measurement.

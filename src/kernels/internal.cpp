@@ -92,43 +92,6 @@ void stage_uvw_and_wavenumbers(const KernelData& data, const WorkItem& item,
   s.k.assign(first, first + item.nr_channels);
 }
 
-void gather_visibility_batch(const Parameters& /*params*/,
-                             const KernelData& data, const WorkItem& item,
-                             ArrayView<const Visibility, 3> visibilities,
-                             std::size_t ncp, Scratch& s) {
-  const std::size_t nt = static_cast<std::size_t>(item.nr_timesteps);
-  const std::size_t nc = static_cast<std::size_t>(item.nr_channels);
-  const std::size_t batch = nt * ncp;
-  // Every [0, nc) column is overwritten below — only the padded channel
-  // tail [nc, ncp) of each timestep row needs zeroing, not the whole batch.
-  for (int p = 0; p < 4; ++p) {
-    s.re[p].resize(batch);
-    s.im[p].resize(batch);
-    if (ncp != nc) {
-      for (std::size_t t = 0; t < nt; ++t) {
-        for (std::size_t c = nc; c < ncp; ++c) {
-          s.re[p][t * ncp + c] = 0.0f;
-          s.im[p][t * ncp + c] = 0.0f;
-        }
-      }
-    }
-  }
-  stage_uvw_and_wavenumbers(data, item, s);
-  s.k.resize(ncp, 0.0f);
-  for (std::size_t t = 0; t < nt; ++t) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      const Visibility& vis = visibilities(
-          static_cast<std::size_t>(item.baseline),
-          static_cast<std::size_t>(item.time_begin) + t,
-          static_cast<std::size_t>(item.channel_begin) + c);
-      for (int p = 0; p < 4; ++p) {
-        s.re[p][t * ncp + c] = vis[p].real();
-        s.im[p][t * ncp + c] = vis[p].imag();
-      }
-    }
-  }
-}
-
 void store_gridder_pixel(const Parameters& /*params*/, const KernelData& data,
                          const WorkItem& item, std::size_t slot_index,
                          std::size_t y, std::size_t x, const float acc[8],

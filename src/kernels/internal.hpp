@@ -1,6 +1,6 @@
-// Internal helpers shared by the optimized and runtime-compiled kernels:
-// per-thread scratch buffers, geometry precomputation and the visibility
-// batch gather/transpose (paper §V-B optimization (1)).
+// Internal helpers of the optimized kernels' host code: per-thread scratch
+// buffers, geometry precomputation and the A-term/taper prologue and
+// epilogue around the loops of kernels/loops.hpp.
 //
 // Not part of the public API.
 #pragma once
@@ -9,15 +9,11 @@
 
 #include "common/aligned.hpp"
 #include "idg/kernels.hpp"
+#include "kernels/loops.hpp"
 
 namespace idg::kernels::internal {
 
-/// Pads a count up to the AVX2 float width so SIMD loops never need a
-/// masked remainder.
-inline constexpr std::size_t kSimdWidth = 8;
-inline std::size_t padded(std::size_t n) {
-  return (n + kSimdWidth - 1) / kSimdWidth * kSimdWidth;
-}
+using loops::padded;
 
 /// Item-invariant per-pixel geometry of one (subgrid_size, image_size)
 /// configuration: direction cosines l, m and the n term, zero-padded to a
@@ -39,12 +35,14 @@ struct Scratch {
   // Per-pixel, per-item phase offset (the l/m/n arrays live in the shared
   // GeometryTable).
   AlignedVector<float> offset;
-  // Transposed split re/im visibilities or pixels: [pol][element].
+  // The degridder's split re/im pixels: [pol][pixel].
   AlignedVector<float> re[4], im[4];
   // Visibilities staged by the optimized gridder: [t][c][pol re/im].
   AlignedVector<float> vis;
   // Phase/sincos batch buffers.
   AlignedVector<float> phase, sin_v, cos_v;
+  // A loop's output: gridded pixels or degridded visibilities, 8 floats each.
+  AlignedVector<float> out;
   // Per-timestep uvw of the current item.
   AlignedVector<float> u, v, w;
   // Local wavenumbers for the item's channel range.
@@ -64,14 +62,6 @@ void fill_geometry(const Parameters& params, const WorkItem& item,
 /// wavenumbers into s.k.
 void stage_uvw_and_wavenumbers(const KernelData& data, const WorkItem& item,
                                Scratch& s);
-
-/// Loads and transposes the item's visibility block into aligned split
-/// re/im arrays [pol][t * ncp + c] (channels zero-padded to ncp), copies
-/// the uvw coordinates and the channel wavenumbers.
-void gather_visibility_batch(const Parameters& params, const KernelData& data,
-                             const WorkItem& item,
-                             ArrayView<const Visibility, 3> visibilities,
-                             std::size_t ncp, Scratch& s);
 
 /// Applies the gridder epilogue to one accumulated pixel: the A-term
 /// sandwich A1^H P A2 and the taper, then stores into the subgrid buffer.

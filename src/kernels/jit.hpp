@@ -1,49 +1,43 @@
-// Runtime-compiled kernels (paper §V-B: "we aid compiler assisted
-// vectorization in the remainder of the kernel by using runtime
+// Runtime compilation of the optimized loops (paper §V-B: "we aid compiler
+// assisted vectorization in the remainder of the kernel by using runtime
 // compilation, i.e. we only compile the kernel when the parameters are
 // known at runtime").
 //
-// On first use for a given (subgrid_size, nr_channels) shape, this kernel
-// set emits C++ source with those dimensions as compile-time constants,
-// compiles it with the system compiler into a shared object, dlopens it and
-// dispatches to the specialized entry points. With fixed trip counts the
-// compiler fully unrolls and vectorizes the channel loops without masked
-// remainders. Items whose shape has no specialization (or any toolchain
-// failure) fall back to the generic optimized kernels, so the JIT path is
-// always safe to select.
-//
-// The emitter also generates thread-coarsened twins of the static
-// kernels/coarsen.hpp family ("jit-coarsen<V>x<P>c<C>"): same block
-// structure, but with the shape AND the coarsening factors baked in as
-// compile-time constants. Without a toolchain they degrade to the
-// statically-instantiated variant with the same factors.
+// On first use of a (subgrid_size, nr_channels) shape, the text of
+// kernels/loops.hpp (embedded at build time) is compiled with the shape's
+// pixel and channel counts as compile-time constants, -march=native and the
+// polynomial sincos inlined, into a shared object that is dlopened. The
+// "jit" kernel set (kernels/optimized.hpp) runs those loops; a shape whose
+// compilation fails runs the static ones.
 #pragma once
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "idg/kernels.hpp"
+#include "kernels/loops.hpp"
 
 namespace idg::kernels {
 
-/// The runtime-compiled kernel set. Thread-safe; compilation happens at
-/// most once per (shape, variant) per process, and compiled objects are
-/// reused across processes via the persistent cache directory.
-const KernelSet& jit_kernels();
+/// The entry points of one compiled shape; null when it has none.
+struct CompiledLoops {
+  void (*grid)(const loops::GridArgs*) = nullptr;
+  void (*degrid)(const loops::DegridArgs*) = nullptr;
+};
 
-/// The runtime-compiled coarsened variants ("jit-coarsen<V>x<P>c<C>"), in
-/// registry order.
-const std::vector<const KernelSet*>& jit_coarsened_kernel_sets();
-std::vector<std::string> jit_coarsened_variant_names();
+/// The loops of one shape, compiled on first use. Thread-safe; compilation
+/// happens at most once per shape per process, and compiled objects are
+/// reused across processes via the persistent cache directory.
+const CompiledLoops& jit_loops(std::size_t subgrid_size,
+                               std::size_t nr_channels);
 
 /// True if a toolchain is available and a probe compilation succeeded.
-/// When false, jit_kernels() silently behaves like optimized_kernels().
+/// When false, jit_kernels() runs the static loops, like optimized_kernels().
 bool jit_available();
 
-/// The persistent object cache: $TMPDIR/idg-jit-v<emitter>-<hash> where
-/// the hash covers the compiler version and flags, so repeated runs and
-/// the autotuner reuse compiled objects while compiler or emitter changes
-/// start a fresh directory.
+/// The persistent object cache: $TMPDIR/idg-jit-<hash>, where the hash
+/// covers the compiler version and flags. Objects are named by shape and a
+/// hash of their source, so repeated runs and the autotuner reuse them,
+/// while a compiler, flag or loop change compiles afresh.
 std::string jit_cache_directory();
 
 }  // namespace idg::kernels

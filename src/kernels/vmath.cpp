@@ -5,34 +5,13 @@
 #include <cstdint>
 #include <numbers>
 
+#include "kernels/loops.hpp"
+
 namespace idg::vmath {
 
 void sincos_batch(std::size_t n, const float* x, float* out_sin,
                   float* out_cos) {
-  using namespace sincos_constants;
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    // Reduce to r in [-pi/4, pi/4] with quadrant q.
-    const float qf = std::nearbyint(xi * kTwoOverPi);
-    const std::int32_t q = static_cast<std::int32_t>(qf);
-    const float r = (xi - qf * kPio2Hi) - qf * kPio2Lo;
-    const float r2 = r * r;
-
-    // Polynomial kernels.
-    const float s = r + r * r2 * (kS1 + r2 * (kS2 + r2 * kS3));
-    const float c =
-        1.0f - 0.5f * r2 + r2 * r2 * (kC1 + r2 * (kC2 + r2 * kC3));
-
-    // Quadrant selection: k = q mod 4 maps (sin, cos) onto
-    // {(s,c), (c,-s), (-s,-c), (-c,s)}; ternaries compile to SIMD blends.
-    const std::int32_t k = q & 3;
-    const bool swap = (k & 1) != 0;
-    const float base_sin = swap ? c : s;
-    const float base_cos = swap ? s : c;
-    out_sin[i] = (k == 2 || k == 3) ? -base_sin : base_sin;
-    out_cos[i] = (k == 1 || k == 2) ? -base_cos : base_cos;
-  }
+  kernels::loops::sincos_poly(n, x, out_sin, out_cos);
 }
 
 namespace {

@@ -19,26 +19,8 @@
 
 namespace idg::vmath {
 
-/// Constants of sincos_batch, shared with the JIT emitter (kernels/jit.cpp),
-/// whose generated objects embed the same polynomial.
-namespace sincos_constants {
-/// Cody-Waite split of pi/2 for the two-step reduction r = (x - q*hi) - q*lo.
-/// The high part has 8 significant bits, so q*hi is exact for |q| < 2^16
-/// whether or not the compiler fuses the multiply-subtract into an FMA.
-inline constexpr float kTwoOverPi = 0.636619772367581343f;
-inline constexpr float kPio2Hi = 1.5703125f;
-inline constexpr float kPio2Lo = 4.83826794896619231e-4f;
-
-/// Cephes minimax polynomials on [-pi/4, pi/4].
-inline constexpr float kS1 = -1.6666654611e-1f;
-inline constexpr float kS2 = 8.3321608736e-3f;
-inline constexpr float kS3 = -1.9515295891e-4f;
-inline constexpr float kC1 = 4.166664568298827e-2f;
-inline constexpr float kC2 = -1.388731625493765e-3f;
-inline constexpr float kC3 = 2.443315711809948e-5f;
-}  // namespace sincos_constants
-
-/// out_sin[i] = sin(x[i]), out_cos[i] = cos(x[i]) for i < n.
+/// out_sin[i] = sin(x[i]), out_cos[i] = cos(x[i]) for i < n: the polynomial
+/// of kernels/loops.hpp, which the runtime-compiled kernels inline.
 /// All pointers must be non-aliasing; best performance with 64-byte aligned
 /// buffers whose length is a multiple of the SIMD width.
 void sincos_batch(std::size_t n, const float* x, float* out_sin,

@@ -504,6 +504,9 @@ ShardedBackend::ShardedBackend(const Parameters& params, ShardConfig config)
             "a sharded backend needs at least one worker");
   IDG_CHECK(config_.max_attempts_per_shard >= 1,
             "max_attempts_per_shard must be at least 1");
+  // The workers resolve the same name; reject a precision mismatch here,
+  // before any of them is spawned.
+  check_accumulation(resolve_kernel_set(config_.kernel_set), params);
 }
 
 ShardedBackend::~ShardedBackend() = default;

@@ -397,23 +397,52 @@ TEST(AccuracyContractFlagged, AdjointnessHoldsUnderFlagPolicies) {
 // kernels under double-precision accumulation (standard/science). Prove
 // the DFT l2 contract with kernel_set="tuned" explicitly on all three
 // tiers — whatever winner the process tuning database currently names.
-TEST(TunedKernelSetContract, DirtyImageMeetsEpsilonOnEveryTier) {
+// Every registered kernel set, on every tier, either meets epsilon or is
+// rejected by name: a set that does not implement the tier's accumulation
+// precision must not run it silently (single-precision math reads l2
+// 1.3e-3 to 2.0e-3, above the standard and science tiers' epsilon).
+class KernelSetContract : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KernelSetContract, DirtyImageMeetsEpsilonOrIsRejectedOnEveryTier) {
   for (const double epsilon : {1e-1, 1e-3, 1e-5}) {
+    SCOPED_TRACE("kernel set " + GetParam() + ", tier epsilon " +
+                 std::to_string(epsilon));
     const auto s = ContractSetup::make(epsilon);
     BackendOptions options;
     options.executor = "synchronous";
-    options.kernel_set = "tuned";
-    auto backend = make_backend(options, s.params);
+    options.kernel_set = GetParam();
+    std::unique_ptr<GridderBackend> backend;
+    try {
+      backend = make_backend(options, s.params);
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "does not implement double-precision accumulation"),
+                std::string::npos)
+          << e.what();
+      // Only the double-accumulation tiers reject, and never the sets
+      // that serve them.
+      EXPECT_EQ(s.params.accumulation, Accumulation::kDouble);
+      EXPECT_NE(GetParam(), "reference");
+      EXPECT_NE(GetParam(), "tuned");
+      continue;
+    }
     Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
                          s.params.grid_size);
     backend->grid(s.plan, s.ds.uvw.cview(), s.vis.cview(), s.ds.flag_view(),
                   s.aterms.cview(), grid.view(), obs::null_sink());
     const auto dirty =
         make_dirty_image(grid, s.plan.nr_planned_visibilities(), s.params);
-    EXPECT_LE(dft_l2_error(s, dirty), epsilon)
-        << "tuned kernel set, tier epsilon " << epsilon;
+    EXPECT_LE(dft_l2_error(s, dirty), epsilon);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(EverySet, KernelSetContract,
+                         ::testing::ValuesIn(kernels::kernel_set_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 // --- backend factory: options struct vs string spelling ---------------------
 

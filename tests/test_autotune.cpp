@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "kernels/optimized.hpp"
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
+#include "hostile_path.hpp"
 
 namespace {
 
@@ -88,7 +90,7 @@ TEST(TuningDatabaseTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 
   TuningDatabase db;
-  db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "coarsen4x2c4",
+  db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "jit",
                     0.001234567890123456, 0.0023456789012345));
   db.put(make_entry(TuneOp::kDegrid, {24, 8, 12}, "optimized-lut", 0.5,
                     0.75));
@@ -104,7 +106,7 @@ TEST(TuningDatabaseTest, SaveLoadRoundTrip) {
   ASSERT_EQ(loaded.size(), 3u);
   const TuneEntry* e = loaded.find(TuneOp::kGrid, {24, 8, 12});
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->kernel_set, "coarsen4x2c4");
+  EXPECT_EQ(e->kernel_set, "jit");
   EXPECT_DOUBLE_EQ(e->seconds, 0.001234567890123456);
   EXPECT_DOUBLE_EQ(e->baseline_seconds, 0.0023456789012345);
   EXPECT_NE(loaded.find(TuneOp::kDegrid, {24, 8, 12}), nullptr);
@@ -115,11 +117,11 @@ TEST(TuningDatabaseTest, SaveLoadRoundTrip) {
 TEST(TuningDatabaseTest, PutReplacesExistingEntry) {
   TuningDatabase db;
   db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "optimized", 2.0, 2.0));
-  db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "coarsen2x2c2", 1.0, 2.0));
+  db.put(make_entry(TuneOp::kGrid, {24, 8, 12}, "optimized-lut", 1.0, 2.0));
   EXPECT_EQ(db.size(), 1u);
   const TuneEntry* e = db.find(TuneOp::kGrid, {24, 8, 12});
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->kernel_set, "coarsen2x2c2");
+  EXPECT_EQ(e->kernel_set, "optimized-lut");
   EXPECT_DOUBLE_EQ(e->speedup(), 2.0);
 }
 
@@ -175,6 +177,18 @@ TEST(TuningDatabaseTest, ForeignHostIsANamedError) {
       TuningDatabase::load(path, "some-other-machine|t64");
   EXPECT_EQ(loaded.size(), 1u);
   std::remove(path.c_str());
+}
+
+// --- default database path -----------------------------------------------------
+
+TEST(TuningDatabasePathTest, CreatesADirectoryNamedWithShellMetacharacters) {
+  const test::HostilePath hostile("idg_test_tune_shell");
+  const test::ScopedEnv db("IDG_TUNE_DB", std::nullopt);
+  const test::ScopedEnv xdg("XDG_CACHE_HOME", hostile.dir);
+  EXPECT_EQ(kernels::default_tuning_database_path(),
+            hostile.dir + "/idg/tune.json");
+  EXPECT_TRUE(std::filesystem::is_directory(hostile.dir + "/idg"));
+  EXPECT_FALSE(std::filesystem::exists(hostile.pwned));
 }
 
 // --- tuned dispatch -------------------------------------------------------------
@@ -240,12 +254,16 @@ TEST(TunedDispatchTest, EmptyDatabaseFallsBackToOptimized) {
 
 TEST(TunedDispatchTest, DatabaseEntrySelectsTheRecordedWinner) {
   const auto f = DispatchFixture::make();
+  // The libm sincos gives other bits than "optimized", so the comparison
+  // below tells the winner from the fallback.
+  const Array4D<cfloat> winner =
+      f.grid_with(kernels::kernel_set("optimized-libm"));
+  ASSERT_FALSE(
+      bit_identical(winner, f.grid_with(kernels::optimized_kernels())));
   TuningDatabase db;
-  db.put(make_entry(TuneOp::kGrid, f.shape(), "coarsen2x2c2", 1.0, 2.0));
+  db.put(make_entry(TuneOp::kGrid, f.shape(), "optimized-libm", 1.0, 2.0));
   kernels::set_process_tuning_database(std::move(db));
-  EXPECT_TRUE(
-      bit_identical(f.grid_with(kernels::tuned_kernels()),
-                    f.grid_with(kernels::kernel_set("coarsen2x2c2"))));
+  EXPECT_TRUE(bit_identical(f.grid_with(kernels::tuned_kernels()), winner));
   kernels::set_process_tuning_database(TuningDatabase{});
 }
 
@@ -266,7 +284,7 @@ TEST(TunedDispatchTest, DatabaseOfOlderKernelsFallsBackToOptimized) {
   const auto f = DispatchFixture::make();
   const std::string path = temp_path("idg_test_tune_v1.json");
   TuningDatabase db;
-  db.put(make_entry(TuneOp::kGrid, f.shape(), "coarsen2x2c2", 1.0, 2.0));
+  db.put(make_entry(TuneOp::kGrid, f.shape(), "optimized-libm", 1.0, 2.0));
   db.save(path);
   std::string text = read_file(path);
   const std::string current = TuningDatabase::kSchema;
@@ -292,7 +310,7 @@ TEST(TunedDispatchTest, DoubleAccumulationDelegatesToReference) {
   // Even a database entry naming a single-precision variant must not
   // override the precision contract.
   TuningDatabase db;
-  db.put(make_entry(TuneOp::kGrid, f.shape(), "coarsen2x2c2", 1.0, 2.0));
+  db.put(make_entry(TuneOp::kGrid, f.shape(), "optimized-libm", 1.0, 2.0));
   kernels::set_process_tuning_database(std::move(db));
   EXPECT_TRUE(bit_identical(f.grid_with(kernels::tuned_kernels()),
                             f.grid_with(reference_kernels())));
@@ -321,7 +339,7 @@ TEST(AutotuneTest, TunesPersistsAndDrivesDispatch) {
   opts.repeats = 1;
   opts.nr_items = 2;
   opts.nr_timesteps = 4;
-  opts.candidates = {"optimized", "coarsen4x2c4"};
+  opts.candidates = {"optimized", "optimized-lut"};
 
   TuningDatabase db;
   const auto results = kernels::autotune(db, params, /*nr_channels=*/4, opts);
@@ -331,7 +349,7 @@ TEST(AutotuneTest, TunesPersistsAndDrivesDispatch) {
     // The winner is one of the candidates, measured, with the optimized
     // baseline recorded alongside (so speedup() is meaningful).
     EXPECT_TRUE(r.entry.kernel_set == "optimized" ||
-                r.entry.kernel_set == "coarsen4x2c4")
+                r.entry.kernel_set == "optimized-lut")
         << r.entry.kernel_set;
     EXPECT_GT(r.entry.seconds, 0.0);
     EXPECT_GT(r.entry.baseline_seconds, 0.0);

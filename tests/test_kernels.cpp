@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <filesystem>
 #include <numbers>
 #include <random>
 
@@ -13,12 +14,12 @@
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
 #include "idg/taper.hpp"
-#include "kernels/coarsen.hpp"
 #include "kernels/jit.hpp"
 #include "kernels/optimized.hpp"
 #include "kernels/vmath.hpp"
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
+#include "hostile_path.hpp"
 
 namespace {
 
@@ -240,23 +241,18 @@ INSTANTIATE_TEST_SUITE_P(Variants, OptimizedVsReference,
                          ::testing::Values("optimized", "optimized-libm",
                                            "optimized-lut"));
 
-// Every statically-instantiated coarsened variant, plus the JIT twins
-// (which fall back to their static coarsen counterpart without a
-// toolchain), must meet the same tier-epsilon contract as "optimized":
-// coarsening only reorders the accumulation, never the arithmetic.
-INSTANTIATE_TEST_SUITE_P(
-    Coarsened, OptimizedVsReference,
-    ::testing::ValuesIn(kernels::coarsened_variant_names()));
-INSTANTIATE_TEST_SUITE_P(
-    JitCoarsened, OptimizedVsReference,
-    ::testing::ValuesIn(kernels::jit_coarsened_variant_names()));
-
-// --- ragged shapes vs the coarsening block sizes --------------------------------
+// --- ragged shapes ----------------------------------------------------------------
 //
-// V/P/C are MAXIMUM block sizes: every tail (channel counts that do not
-// divide C, subgrid sizes that do not divide P, timestep runs shorter than
-// V — down to single-visibility and single-channel items) must be handled
-// by shortened blocks, bit-compatible in structure with the full blocks.
+// Every tail of the loops' blocking — channel counts below the recurrence's
+// three, odd subgrid sizes whose last pixel tile is partial, timestep runs
+// shorter than a phase block, down to single-visibility items — must match
+// the reference kernels.
+
+/// The runtime-compiled cases test the compiled loops; without a toolchain
+/// "jit" runs the static ones, which the other cases already cover.
+bool needs_missing_toolchain(const std::string& kernel_set) {
+  return kernel_set == "jit" && !kernels::jit_available();
+}
 
 /// sqrt(sum |got - ref|^2 / sum |ref|^2) over `count` complex values.
 template <typename At>
@@ -344,9 +340,11 @@ struct RaggedShape {
   int max_timesteps_per_subgrid;
 };
 
-class CoarsenedRaggedShapes : public ::testing::TestWithParam<std::string> {};
+class RaggedShapes : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(CoarsenedRaggedShapes, GridderAndDegridderMatchReference) {
+TEST_P(RaggedShapes, GridderAndDegridderMatchReference) {
+  if (needs_missing_toolchain(GetParam()))
+    GTEST_SKIP() << "no toolchain for runtime compilation";
   const KernelSet& candidate = kernels::kernel_set(GetParam());
   const std::vector<RaggedShape> shapes = {
       // 1 channel + max_timesteps 1: single-visibility work items.
@@ -388,12 +386,9 @@ TEST_P(CoarsenedRaggedShapes, GridderAndDegridderMatchReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Coarsened, CoarsenedRaggedShapes,
-    ::testing::ValuesIn(kernels::coarsened_variant_names()));
-INSTANTIATE_TEST_SUITE_P(
-    JitCoarsened, CoarsenedRaggedShapes,
-    ::testing::ValuesIn(kernels::jit_coarsened_variant_names()));
+INSTANTIATE_TEST_SUITE_P(Variants, RaggedShapes,
+                         ::testing::Values("optimized", "optimized-libm",
+                                           "jit"));
 
 // --- the optimized kernels' input-dependent paths --------------------------------
 //
@@ -415,6 +410,8 @@ struct PathCase {
 class OptimizedPaths : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OptimizedPaths, GridderAndDegridderMatchReference) {
+  if (needs_missing_toolchain(GetParam()))
+    GTEST_SKIP() << "no toolchain for runtime compilation";
   const KernelSet& candidate = kernels::kernel_set(GetParam());
   const PathCase cases[] = {
       {"16 uniform channels", 16, 24, 1.0f, true},
@@ -462,7 +459,8 @@ TEST_P(OptimizedPaths, GridderAndDegridderMatchReference) {
 
 // The LUT sincos is ~1e-3 accurate, far above the l2 bound.
 INSTANTIATE_TEST_SUITE_P(Variants, OptimizedPaths,
-                         ::testing::Values("optimized", "optimized-libm"));
+                         ::testing::Values("optimized", "optimized-libm",
+                                           "jit"));
 
 // --- runtime-compiled kernels ---------------------------------------------------
 
@@ -533,6 +531,31 @@ TEST(JitTest, DegridderMatchesReference) {
     }
   }
   EXPECT_LT(max_err, 1e-2 * std::max(max_val, 1.0));
+}
+
+TEST(JitTest, CompilesUnderADirectoryNamedWithShellMetacharacters) {
+  if (!kernels::jit_available()) {
+    GTEST_SKIP() << "no toolchain for runtime compilation";
+  }
+  const test::HostilePath hostile("idg_test_jit_shell");
+  const test::ScopedEnv tmpdir("TMPDIR", hostile.dir);
+  const std::string cache = kernels::jit_cache_directory();
+  EXPECT_EQ(cache.rfind(hostile.dir + "/idg-jit-", 0), 0u) << cache;
+  ASSERT_TRUE(std::filesystem::is_directory(cache)) << cache;
+
+  // A shape no other test compiles, so the compiler really runs here.
+  const kernels::CompiledLoops& loops = kernels::jit_loops(11, 3);
+  EXPECT_NE(loops.grid, nullptr);
+  EXPECT_NE(loops.degrid, nullptr);
+  EXPECT_FALSE(std::filesystem::exists(hostile.pwned));
+  // One published object; the process-unique source and temporary object
+  // are gone.
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(cache)) {
+    ++files;
+    EXPECT_EQ(entry.path().extension(), ".so") << entry.path();
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 TEST(JitTest, RegisteredInKernelRegistry) {

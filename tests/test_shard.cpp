@@ -39,6 +39,7 @@
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
 #include "idg/wplane.hpp"
+#include "kernels/optimized.hpp"
 #include "obs/sink.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/planner.hpp"
@@ -378,6 +379,26 @@ TEST(ShardedParityTest, WPlaneWithoutGridIsRejectedBeforeAnyWorkerStarts) {
                               s.aterms.cview(), vis.view(), obs::null_sink()),
                Error);
   EXPECT_EQ(sharded.report().counters.workers_spawned, 0u);
+}
+
+TEST(ShardedParityTest, KernelSetOfTheWrongPrecisionIsRejectedByName) {
+  // The workers would run float math under a double-accumulation tier:
+  // the coordinator refuses the configuration before spawning any.
+  auto s = Setup::make();
+  s.params.accumulation = Accumulation::kDouble;
+  shard::ShardConfig sc = config_for(2);
+  sc.kernel_set = kernels::optimized_kernels().name();
+  try {
+    shard::ShardedBackend sharded(s.params, sc);
+    FAIL() << "expected the precision mismatch to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kernel set 'optimized' does not "
+                                         "implement double-precision"),
+              std::string::npos)
+        << e.what();
+  }
+  sc.kernel_set = "reference";
+  EXPECT_NO_THROW(shard::ShardedBackend(s.params, sc));
 }
 
 TEST(ShardedParityTest, CallerSkipMaskMatchesSingleProcessSemantics) {
