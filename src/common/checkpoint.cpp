@@ -42,28 +42,56 @@ void sweep_stale_temps(const std::string& path, const std::string& keep) {
   closedir(d);
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][b] is
+/// the CRC of byte b followed by k zero bytes, so eight table lookups
+/// advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+/// Four bytes as a little-endian word, composed byte by byte so the read
+/// assumes neither the host's byte order nor any alignment (compilers turn
+/// it into one load on little-endian hosts).
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const CrcTables& t = crc_tables();
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = crc_table()[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -21,11 +21,13 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace idg {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `size` bytes. `seed`
-/// chains incremental updates: crc32(b, crc32(a)) == crc32(a+b).
+/// chains incremental updates: crc32(b, crc32(a)) == crc32(a+b). Computed
+/// eight bytes per step (slicing-by-8); any alignment, any byte order.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
@@ -58,10 +60,12 @@ class CheckpointWriter {
 
   std::size_t payload_size() const { return payload_.size(); }
 
-  /// The accumulated payload, without magic or CRC. The shard wire protocol
-  /// (src/shard/protocol.hpp) reuses the writer as its message serializer
-  /// and frames the payload itself.
-  const std::string& payload() const { return payload_; }
+  /// Moves the accumulated payload, without magic or CRC, out of the writer
+  /// and leaves the writer empty. The wire protocols (src/shard/protocol.hpp,
+  /// src/server/protocol.hpp) reuse the writer as their message serializer
+  /// and frame the payload themselves; a job runs to megabytes, so it is
+  /// handed over, not copied.
+  std::string take_payload() { return std::exchange(payload_, {}); }
 
  private:
   void append(const void* data, std::size_t size);

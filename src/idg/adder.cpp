@@ -122,13 +122,13 @@ void add_subgrids_to_grid(const Parameters& params,
                           std::span<const WorkItem> items,
                           const TileBinning& binning,
                           ArrayView<const cfloat, 4> subgrids,
-                          ArrayView<cfloat, 3> grid) {
+                          ArrayView<cfloat, 3> grid, bool parallel) {
   check_shapes(params, items, subgrids.dim(0), grid);
   check_binning(params, items, binning);
   const std::size_t nr_tiles = binning.nr_tiles();
   // Tiles near the uv origin hold most items; dynamic scheduling balances
   // the skew while each tile still has exactly one owner.
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(dynamic) if (parallel)
   for (std::size_t tile = 0; tile < nr_tiles; ++tile) {
     add_tile(params, items, binning, tile, subgrids, grid);
   }

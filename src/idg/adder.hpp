@@ -36,11 +36,13 @@ namespace idg {
 /// grid(4*w_plane + pol, y0+y, x0+x) += subgrid(i, pol, y, x) for every
 /// item, using a precomputed tile binning of `items` (see
 /// Plan::work_group_tiles). `grid` dims: [planes*4][grid_size][grid_size].
+/// The tiles run on an OpenMP team, or with `parallel` = false on the
+/// calling thread; the grid is bit-identical either way.
 void add_subgrids_to_grid(const Parameters& params,
                           std::span<const WorkItem> items,
                           const TileBinning& binning,
                           ArrayView<const cfloat, 4> subgrids,
-                          ArrayView<cfloat, 3> grid);
+                          ArrayView<cfloat, 3> grid, bool parallel = true);
 
 /// Convenience overload: bins `items` on the fly.
 void add_subgrids_to_grid(const Parameters& params,

@@ -48,7 +48,7 @@ void Processor::grid_visibilities(const Plan& plan,
     const auto group = static_cast<std::int64_t>(g);
     ctl.check_cancel("processor.grid", group);
     grid_group_subgrids(plan, g, data, vis, subgrids.view(), sink);
-    add_group_to_grid(plan, g, subgrids.cview(), grid, sink);
+    add_group_to_grid(params_, plan, g, subgrids.cview(), grid, sink);
   }
 
   // Analytic op/byte counters for the whole call (derived from the plan,
@@ -87,12 +87,12 @@ void Processor::grid_group_subgrids(const Plan& plan, std::size_t g,
                         n * n * 2);
 }
 
-void Processor::add_group_to_grid(const Plan& plan, std::size_t g,
-                                  ArrayView<const cfloat, 4> subgrids,
-                                  ArrayView<cfloat, 3> grid,
-                                  obs::MetricsSink& sink) const {
+void add_group_to_grid(const Parameters& params, const Plan& plan,
+                       std::size_t g, ArrayView<const cfloat, 4> subgrids,
+                       ArrayView<cfloat, 3> grid, obs::MetricsSink& sink,
+                       bool parallel) {
   // Read only by the fault-injection hooks, which can compile away.
-  [[maybe_unused]] const std::size_t n = params_.subgrid_size;
+  [[maybe_unused]] const std::size_t n = params.subgrid_size;
   const auto items = plan.work_group(g);
   const auto group = static_cast<std::int64_t>(g);
   {
@@ -104,11 +104,11 @@ void Processor::add_group_to_grid(const Plan& plan, std::size_t g,
           reinterpret_cast<const float*>(subgrids.data()),
           items.size() * static_cast<std::size_t>(kNrPolarizations) * n * n *
               2);
-      add_subgrids_to_grid(params_, items, plan.work_group_tiles(g),
-                           subgrids, grid);
+      add_subgrids_to_grid(params, items, plan.work_group_tiles(g), subgrids,
+                           grid, parallel);
     });
   }
-  sink.record_bytes(stage::kAdder, adder_moved_bytes(params_, items.size()));
+  sink.record_bytes(stage::kAdder, adder_moved_bytes(params, items.size()));
 }
 
 void Processor::degrid_visibilities(const Plan& plan,

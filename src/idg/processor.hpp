@@ -36,6 +36,19 @@ inline constexpr const char* kGridFft = "grid-fft";
 inline constexpr const char* kScrub = "scrub";
 }  // namespace stage
 
+/// Third gridding stage for ONE work group: accumulates its post-FFT
+/// subgrids into `grid` in the canonical per-tile item order, under one
+/// adder span and with one moved-bytes record. Calling this for groups
+/// 0..G-1 in ascending order reproduces the single-process accumulation bit
+/// for bit — the property the shard coordinator's in-order merge relies on.
+/// `parallel` = false adds the tiles on the calling thread instead of an
+/// OpenMP team (the coordinator's cores belong to its worker processes);
+/// every tile's sum order, and so the grid, is the same either way.
+void add_group_to_grid(const Parameters& params, const Plan& plan,
+                       std::size_t g, ArrayView<const cfloat, 4> subgrids,
+                       ArrayView<cfloat, 3> grid, obs::MetricsSink& sink,
+                       bool parallel = true);
+
 class Processor : public GridderBackend {
  public:
   explicit Processor(Parameters params,
@@ -78,16 +91,6 @@ class Processor : public GridderBackend {
                            ArrayView<const Visibility, 3> visibilities,
                            ArrayView<cfloat, 4> subgrids,
                            obs::MetricsSink& sink = obs::null_sink()) const;
-
-  /// Third gridding stage for ONE work group: accumulates its post-FFT
-  /// subgrids into `grid` in the canonical per-tile item order. Calling
-  /// this for groups 0..G-1 in ascending order reproduces the
-  /// single-process accumulation bit for bit — the property the shard
-  /// coordinator's deterministic merge relies on.
-  void add_group_to_grid(const Plan& plan, std::size_t g,
-                         ArrayView<const cfloat, 4> subgrids,
-                         ArrayView<cfloat, 3> grid,
-                         obs::MetricsSink& sink = obs::null_sink()) const;
 
   /// Predicts all planned visibilities from the plane stack `grid`
   /// (overwrites the covered entries of `visibilities`; un-planned entries

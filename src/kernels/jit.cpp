@@ -124,16 +124,39 @@ std::string generate_source(std::size_t subgrid_size,
          kPhaseRounding + kLoopsSource;
 }
 
+/// Removes the shape's objects compiled from other sources: the files in
+/// `dir` named `<shape><8 hex digits>.so`, except `keep`. Another process's
+/// in-flight `.<pid>` temporaries have longer names and stay. A process
+/// that loses an object it was about to open runs the static loops, as on
+/// any JIT failure. Errors are ignored; a stale object only costs disk.
+void remove_stale_objects(const std::string& dir, const std::string& shape,
+                          const std::string& keep) {
+  std::error_code error;
+  for (std::filesystem::directory_iterator it(dir, error), end;
+       !error && it != end; it.increment(error)) {
+    const std::string name = it->path().filename().string();
+    const bool stale =
+        name != keep && name.size() == keep.size() &&
+        name.starts_with(shape) && name.ends_with(".so") &&
+        name.find_first_not_of("0123456789abcdef", shape.size()) ==
+            name.size() - 3;
+    std::error_code ignored;
+    if (stale) std::filesystem::remove(it->path(), ignored);
+  }
+}
+
 /// Compiles one shape's shared object and resolves its entry points,
-/// reusing an object already present in the persistent cache. Returns null
-/// entry points on any failure.
+/// reusing an object already present in the persistent cache. Publishing
+/// a new object removes the shape's stale ones. Returns null entry points
+/// on any failure.
 CompiledLoops compile_shape(std::size_t subgrid_size,
                             std::size_t nr_channels) {
   const std::string source = generate_source(subgrid_size, nr_channels);
-  const std::string stem =
-      cache_dir() + "/kernel_" + std::to_string(subgrid_size) + "_" +
-      std::to_string(nr_channels) + "_" +
-      hex(crc32(source.data(), source.size()));
+  const std::string dir = cache_dir();
+  const std::string shape = "kernel_" + std::to_string(subgrid_size) + "_" +
+                            std::to_string(nr_channels) + "_";
+  const std::string name = shape + hex(crc32(source.data(), source.size()));
+  const std::string stem = dir + "/" + name;
   const std::string so_path = stem + ".so";
 
   // Cache hit: another run (or process) already compiled this object.
@@ -160,6 +183,7 @@ CompiledLoops compile_shape(std::size_t subgrid_size,
       std::remove(tmp_so.c_str());
       return {};
     }
+    remove_stale_objects(dir, shape, name + ".so");
   }
 
   void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);

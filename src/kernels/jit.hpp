@@ -37,7 +37,8 @@ bool jit_available();
 /// The persistent object cache: $TMPDIR/idg-jit-<hash>, where the hash
 /// covers the compiler version and flags. Objects are named by shape and a
 /// hash of their source, so repeated runs and the autotuner reuse them,
-/// while a compiler, flag or loop change compiles afresh.
+/// while a compiler, flag or loop change compiles afresh. Publishing a
+/// shape's object removes that shape's objects of other source hashes.
 std::string jit_cache_directory();
 
 }  // namespace idg::kernels

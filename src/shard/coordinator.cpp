@@ -21,6 +21,7 @@
 
 #include "common/error.hpp"
 #include "idg/accounting.hpp"
+#include "idg/processor.hpp"
 #include "shard/planner.hpp"
 #include "shard/protocol.hpp"
 #include "shard/worker.hpp"
@@ -499,7 +500,8 @@ std::uint64_t count_flagged(std::span<const WorkItem> items, FlagView flags) {
 }  // namespace
 
 ShardedBackend::ShardedBackend(const Parameters& params, ShardConfig config)
-    : config_(std::move(config)), merger_(params) {
+    : params_(params), config_(std::move(config)) {
+  params_.validate();
   IDG_CHECK(config_.nr_workers >= 1,
             "a sharded backend needs at least one worker");
   IDG_CHECK(config_.max_attempts_per_shard >= 1,
@@ -570,8 +572,8 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
             const auto m0 = Clock::now();
             std::memcpy(subgrids.data(), pending[next_apply].data(),
                         pending[next_apply].size());
-            merger_.add_group_to_grid(plan, next_apply, subgrids.cview(),
-                                      grid, sink);
+            add_group_to_grid(params, plan, next_apply, subgrids.cview(),
+                              grid, sink, /*parallel=*/false);
             const double dt = seconds_since(m0);
             merge_seconds += dt;
             sink.record(stage::kShardMerge, dt);

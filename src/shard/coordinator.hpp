@@ -24,8 +24,10 @@
 // group's post-FFT subgrids; the coordinator runs the adder itself, in
 // ascending group order behind a monotone merge cursor, executing exactly
 // the addition sequence of a single-process run — so the result is
-// memcmp-identical for every worker count and kill schedule. Degridding
-// rects are disjoint per group, so scatter order is free.
+// memcmp-identical for every worker count and kill schedule. The merge
+// adds on the coordinator thread alone: an OpenMP team there would wait at
+// its barrier on threads the worker processes have pushed off the cores.
+// Degridding rects are disjoint per group, so scatter order is free.
 //
 // Duplicate results (a killed worker's shard re-runs groups it already
 // delivered) are dropped by a per-group done set; a group is applied at
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "idg/backend.hpp"
-#include "idg/processor.hpp"
 #include "obs/metrics.hpp"
 
 namespace idg::shard {
@@ -99,9 +100,7 @@ class ShardedBackend final : public GridderBackend {
   ~ShardedBackend() override;
 
   std::string name() const override { return "sharded"; }
-  const Parameters& parameters() const override {
-    return merger_.parameters();
-  }
+  const Parameters& parameters() const override { return params_; }
   const ShardConfig& config() const { return config_; }
 
   ShardRunReport report() const;
@@ -120,10 +119,8 @@ class ShardedBackend final : public GridderBackend {
               const RunControl& ctl) const override;
 
  private:
+  Parameters params_;
   ShardConfig config_;
-  /// Local Processor: runs the adder for the in-order merge (gridding) and
-  /// carries Parameters/taper. Its kernels never execute in-process.
-  Processor merger_;
   mutable std::mutex mutex_;
   mutable ShardRunReport report_;
 };

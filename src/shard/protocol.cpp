@@ -261,7 +261,7 @@ std::string encode_hello(const HelloMsg& msg) {
   w.write_array(kProtocolMagic, 8);
   w.write_pod(msg.version);
   w.write_pod(msg.pid);
-  return w.payload();
+  return w.take_payload();
 }
 
 HelloMsg decode_hello(const std::string& payload) {
@@ -286,7 +286,7 @@ std::string encode_shard_assign(const ShardAssignMsg& msg) {
   w.write_pod(msg.shard);
   w.write_pod(msg.group_begin);
   w.write_pod(msg.group_end);
-  return w.payload();
+  return w.take_payload();
 }
 
 ShardAssignMsg decode_shard_assign(const std::string& payload) {
@@ -306,7 +306,7 @@ std::string encode_job_ready(const JobReadyMsg& msg) {
   w.write_pod(msg.scrubbed);
   w.write_pod(msg.skipped_samples);
   w.write_pod(msg.has_scrub);
-  return w.payload();
+  return w.take_payload();
 }
 
 JobReadyMsg decode_job_ready(const std::string& payload) {
@@ -325,7 +325,7 @@ std::string encode_group_result(const GroupResultMsg& msg) {
   w.write_pod(static_cast<std::uint32_t>(msg.kind));
   w.write_pod(msg.count);
   w.write_array(msg.data.data(), msg.data.size());
-  return w.payload();
+  return w.take_payload();
 }
 
 GroupResultMsg decode_group_result(std::string payload) {
@@ -347,7 +347,7 @@ GroupResultMsg decode_group_result(std::string payload) {
 std::string encode_shard_done(std::uint64_t shard) {
   CheckpointWriter w;
   w.write_pod(shard);
-  return w.payload();
+  return w.take_payload();
 }
 
 std::uint64_t decode_shard_done(const std::string& payload) {
@@ -364,7 +364,7 @@ std::string encode_shard_error(const ShardErrorMsg& msg) {
   w.write_pod(msg.group);
   w.write_pod(msg.cancelled);
   put_string(w, msg.message);
-  return w.payload();
+  return w.take_payload();
 }
 
 ShardErrorMsg decode_shard_error(const std::string& payload) {
@@ -388,11 +388,11 @@ std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
   put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
                  worker_retries);
   put_array(w, visibilities);
-  return w.payload();
+  return w.take_payload();
 }
 
-GridJobMsg decode_grid_job(const std::string& payload) {
-  auto r = CheckpointReader::from_payload(payload, "job-grid");
+GridJobMsg decode_grid_job(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "job-grid");
   JobCommon common = get_job_common(r);
   auto visibilities = get_array<Visibility, 3>(r, "job visibilities");
   r.finish();
@@ -409,11 +409,11 @@ std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
   put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
                  worker_retries);
   put_array(w, grid);
-  return w.payload();
+  return w.take_payload();
 }
 
-DegridJobMsg decode_degrid_job(const std::string& payload) {
-  auto r = CheckpointReader::from_payload(payload, "job-degrid");
+DegridJobMsg decode_degrid_job(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "job-degrid");
   JobCommon common = get_job_common(r);
   auto grid = get_array<cfloat, 3>(r, "job grid");
   r.finish();

@@ -211,7 +211,7 @@ std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                             std::span<const std::uint8_t> skip_groups,
                             const std::string& kernel_set,
                             std::uint32_t worker_retries);
-GridJobMsg decode_grid_job(const std::string& payload);
+GridJobMsg decode_grid_job(std::string payload);
 
 std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                               ArrayView<const cfloat, 3> grid, FlagView flags,
@@ -219,6 +219,6 @@ std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                               std::span<const std::uint8_t> skip_groups,
                               const std::string& kernel_set,
                               std::uint32_t worker_retries);
-DegridJobMsg decode_degrid_job(const std::string& payload);
+DegridJobMsg decode_degrid_job(std::string payload);
 
 }  // namespace idg::shard

@@ -267,15 +267,15 @@ int worker_loop(int in_fd, int out_fd) {
     switch (frame->type) {
       case MsgType::kJobGrid:
         degrid_job.reset();
-        grid_job =
-            std::make_unique<GridJobState>(decode_grid_job(frame->payload));
+        grid_job = std::make_unique<GridJobState>(
+            decode_grid_job(std::move(frame->payload)));
         write_frame(out_fd, MsgType::kJobReady,
                     encode_job_ready(grid_job->ready()));
         break;
       case MsgType::kJobDegrid:
         grid_job.reset();
         degrid_job = std::make_unique<DegridJobState>(
-            decode_degrid_job(frame->payload));
+            decode_degrid_job(std::move(frame->payload)));
         write_frame(out_fd, MsgType::kJobReady,
                     encode_job_ready(degrid_job->ready()));
         break;

@@ -6,13 +6,16 @@
 #include <chrono>
 #include <complex>
 #include <cstdint>
+#include <random>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "common/array.hpp"
 #include "common/cancel.hpp"
+#include "common/checkpoint.hpp"
 #include "common/cli.hpp"
 #include "common/counters.hpp"
 #include "common/error.hpp"
@@ -396,6 +399,63 @@ TEST(WorkerPoolTest, SerialPathPropagatesExceptions) {
         if (i == 2) throw Error("serial boom");
       }),
       Error);
+}
+
+// --- CRC-32 ---------------------------------------------------------------
+//
+// Frames, job payloads, checkpoint files and JIT cache keys all carry
+// crc32 values, so its results are pinned here against the bitwise
+// definition.
+
+/// The CRC one bit at a time, straight from the definition.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, KnownAnswerAndEmptyInput) {
+  const std::string check = "123456789";
+  EXPECT_EQ(idg::crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(idg::crc32(nullptr, 0), 0u);
+  // An empty update leaves a chained value as it was.
+  EXPECT_EQ(idg::crc32(check.data(), 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOneCall) {
+  std::mt19937 rng(7);
+  std::vector<unsigned char> bytes(4099);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng());
+  const std::uint32_t whole = idg::crc32(bytes.data(), bytes.size());
+  for (const std::size_t split : {0u, 1u, 7u, 8u, 9u, 2048u, 4098u, 4099u}) {
+    const std::uint32_t a = idg::crc32(bytes.data(), split);
+    EXPECT_EQ(idg::crc32(bytes.data() + split, bytes.size() - split, a), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, MatchesTheBitwiseDefinition) {
+  // Random lengths (short tails and long runs), start offsets that cover
+  // every alignment, and random seeds.
+  std::mt19937 rng(20011);
+  std::vector<unsigned char> bytes(70000 + 64);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng());
+  std::uniform_int_distribution<std::size_t> offset(0, 63);
+  std::uniform_int_distribution<std::size_t> short_length(0, 40);
+  std::uniform_int_distribution<std::size_t> long_length(0, 70000);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t start = offset(rng);
+    const std::size_t size =
+        trial % 2 == 0 ? short_length(rng) : long_length(rng);
+    const std::uint32_t seed = trial % 4 == 0 ? 0u : rng();
+    EXPECT_EQ(idg::crc32(bytes.data() + start, size, seed),
+              crc32_bitwise(bytes.data() + start, size, seed))
+        << "offset " << start << ", length " << size << ", seed " << seed;
+  }
 }
 
 // --- cancellation edge cases (DESIGN.md §12) --------------------------------

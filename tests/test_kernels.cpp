@@ -6,6 +6,7 @@
 #include <cmath>
 #include <complex>
 #include <filesystem>
+#include <fstream>
 #include <numbers>
 #include <random>
 
@@ -544,7 +545,7 @@ TEST(JitTest, CompilesUnderADirectoryNamedWithShellMetacharacters) {
   ASSERT_TRUE(std::filesystem::is_directory(cache)) << cache;
 
   // A shape no other test compiles, so the compiler really runs here.
-  const kernels::CompiledLoops& loops = kernels::jit_loops(11, 3);
+  const kernels::CompiledLoops& loops = kernels::jit_loops(13, 3);
   EXPECT_NE(loops.grid, nullptr);
   EXPECT_NE(loops.degrid, nullptr);
   EXPECT_FALSE(std::filesystem::exists(hostile.pwned));
@@ -556,6 +557,41 @@ TEST(JitTest, CompilesUnderADirectoryNamedWithShellMetacharacters) {
     EXPECT_EQ(entry.path().extension(), ".so") << entry.path();
   }
   EXPECT_EQ(files, 1u);
+}
+
+TEST(JitTest, PublishingAShapeRemovesItsStaleObjects) {
+  if (!kernels::jit_available()) {
+    GTEST_SKIP() << "no toolchain for runtime compilation";
+  }
+  const test::HostilePath scratch("idg_test_jit_prune");
+  const test::ScopedEnv tmpdir("TMPDIR", scratch.dir);
+  const std::filesystem::path cache = kernels::jit_cache_directory();
+  // Shape 11/3 compiled from an older source; then what must survive: the
+  // same stale hash for another shape, and another process's in-flight
+  // temporaries of this shape.
+  const std::string stale = "kernel_11_3_00000000.so";
+  const std::vector<std::string> kept = {"kernel_11_5_00000000.so",
+                                         "kernel_11_3_00000000.4242.so",
+                                         "kernel_11_3_00000000.4242.cpp"};
+  for (const std::string& name : kept) std::ofstream(cache / name) << "x";
+  std::ofstream(cache / stale) << "x";
+
+  // A shape no other test compiles, so the compiler really runs here.
+  const kernels::CompiledLoops& loops = kernels::jit_loops(11, 3);
+  EXPECT_NE(loops.grid, nullptr);
+  EXPECT_FALSE(std::filesystem::exists(cache / stale));
+  for (const std::string& name : kept) {
+    EXPECT_TRUE(std::filesystem::exists(cache / name)) << name;
+  }
+  std::size_t objects = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(cache)) {
+    const std::string name = entry.path().filename().string();
+    objects += name.rfind("kernel_11_3_", 0) == 0 &&
+               name.size() == stale.size() &&
+               entry.path().extension() == ".so";
+  }
+  EXPECT_EQ(objects, 1u);
+  EXPECT_FALSE(std::filesystem::exists(scratch.pwned));
 }
 
 TEST(JitTest, RegisteredInKernelRegistry) {

@@ -401,6 +401,23 @@ TEST(ShardedParityTest, KernelSetOfTheWrongPrecisionIsRejectedByName) {
   EXPECT_NO_THROW(shard::ShardedBackend(s.params, sc));
 }
 
+TEST(ShardedParityTest, StandaloneWorkerBinaryRunsRegisteredKernelSets) {
+  // idg-shard-worker calls nothing else in the kernel library, yet its
+  // workers must resolve every registered set, not just "reference".
+  const auto s = Setup::make();
+  shard::ShardConfig own = config_for(2);
+  own.kernel_set = "optimized";
+  shard::ShardConfig standalone = own;
+  standalone.worker_path = IDG_SHARD_WORKER_PATH;
+  shard::ShardedBackend self_exec(s.params, own);
+  shard::ShardedBackend dedicated(s.params, standalone);
+  const auto expected = s.grid_with(self_exec);
+  const auto got = s.grid_with(dedicated);
+  EXPECT_TRUE(bit_identical(expected, got));
+  EXPECT_EQ(dedicated.report().counters.workers_respawned, 0u);
+  EXPECT_EQ(dedicated.report().groups_quarantined, 0u);
+}
+
 TEST(ShardedParityTest, CallerSkipMaskMatchesSingleProcessSemantics) {
   const auto s = Setup::make();
   ASSERT_GT(s.plan.nr_work_groups(), 2u);
@@ -436,6 +453,11 @@ TEST(ShardedParityTest, ScrubMetricsMatchTheSingleProcessRun) {
   // The coordinator mirrors the analytic op counters of the in-process run.
   EXPECT_EQ(a.at("gridder").ops.ops(), b.at("gridder").ops.ops());
   EXPECT_EQ(a.at("adder").ops.ops(), b.at("adder").ops.ops());
+  // Its in-order merge runs the adder once per group, as the in-process
+  // grid loop does, and moves the same bytes.
+  EXPECT_EQ(a.at("adder").invocations, b.at("adder").invocations);
+  EXPECT_EQ(a.at("adder").moved_bytes, b.at("adder").moved_bytes);
+  EXPECT_GT(b.at("adder").invocations, 0u);
   // And reports its own stage with the counter block.
   ASSERT_NE(b.find("shard"), b.end());
   EXPECT_EQ(b.at("shard").shard.workers_spawned, 2u);
