@@ -1,7 +1,11 @@
 #include "idg/pipelined.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,18 +25,19 @@
 namespace idg {
 
 namespace {
-/// One in-flight work group: the buffer index it owns plus its item span.
+/// One in-flight work group: the buffer it owns and its dispatch order.
 struct Ticket {
   std::size_t group = 0;
   std::size_t buffer = 0;
+  std::size_t seq = 0;  ///< dispatch order; skipped groups take none
 };
 
 /// Adder-stage pool size when the caller passes 0: a small slice of the
-/// machine — the gridder kernel's OpenMP team remains the main consumer of
-/// cores; the memory-bound adder saturates long before that.
+/// CPUs this process may use — the kernel streams' OpenMP teams remain the
+/// main consumers of cores; the memory-bound adder saturates long before.
 std::size_t default_adder_threads() {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw / 4, 2, 4);
+  const auto procs = static_cast<std::size_t>(omp_get_num_procs());
+  return std::clamp<std::size_t>(procs / 4, 2, 4);
 }
 
 /// How long the orchestrating thread waits on the free-buffer queue before
@@ -40,6 +45,63 @@ std::size_t default_adder_threads() {
 /// queue (waking the wait immediately); the timeout is the safety net that
 /// keeps the wait loop observable rather than parked forever.
 constexpr auto kOrchestratorPollInterval = std::chrono::milliseconds(50);
+
+/// Starts one call's kernel streams (DESIGN.md §9): as many OpenMP teams of
+/// the caller's size as the CPUs this process may use hold, at least one
+/// and fewer than the buffers, so one buffer is left to stage the next
+/// group. Each stream is a "pipeline:kernel" thread that runs `body`. A
+/// started stream is in `streams` at once, so the caller can join every
+/// started stream even when starting a later one throws.
+template <typename Body>
+void start_kernel_streams(std::size_t nr_buffers, const Body& body,
+                          std::vector<std::thread>& streams) {
+  const int team = std::max(1, omp_get_max_threads());
+  const std::size_t count = std::clamp<std::size_t>(
+      static_cast<std::size_t>(omp_get_num_procs() / team), 1,
+      nr_buffers - 1);
+  streams.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    streams.emplace_back([team, &body] {
+      if (auto* trace = obs::global_trace()) {
+        trace->set_thread_name("pipeline:kernel");
+      }
+      // Open this thread's counter group up front so the fd-open cost is
+      // not charged to the first span's window (no-op without a session).
+      obs::warm_thread_counters();
+      omp_set_num_threads(team);
+      body();
+    });
+  }
+}
+
+/// Stage L, on the calling thread: hands every group that is not skipped a
+/// free buffer and the next dispatch sequence number, in group order.
+/// Taking a free buffer is the back-pressure point that keeps at most
+/// nr_buffers groups in flight. Returns when every group is dispatched or
+/// the run failed (the queues closed); a cancellation observed while
+/// waiting throws, so the caller fails the run through the same path.
+template <typename Skipped>
+void dispatch_groups(std::size_t nr_groups, const Skipped& skipped,
+                     BoundedQueue<std::size_t>& free_buffers,
+                     BoundedQueue<Ticket>& to_kernel,
+                     const PipelineError& error, const RunControl& ctl,
+                     const char* site) {
+  std::size_t seq = 0;
+  for (std::size_t g = 0; g < nr_groups; ++g) {
+    if (skipped(g)) continue;
+    const auto group = static_cast<std::int64_t>(g);
+    ctl.check_cancel(site, group);
+    std::size_t buffer = 0;
+    for (;;) {
+      const QueueWaitResult r =
+          free_buffers.pop_for(buffer, kOrchestratorPollInterval);
+      if (r == QueueWaitResult::kOk) break;
+      ctl.check_cancel(site, group);
+      if (r == QueueWaitResult::kClosed || error.failed()) return;
+    }
+    if (!to_kernel.push({g, buffer, seq++})) return;
+  }
+}
 }  // namespace
 
 PipelinedGridder::PipelinedGridder(Parameters params, const KernelSet& kernels,
@@ -120,15 +182,10 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
     to_adder.close_with_error();
   };
 
-  // Stage X: gridder kernel + subgrid FFT per work group. Both stage
-  // threads record spans directly into the shared sink (thread-safe).
-  std::thread kernel_thread([&] {
-    if (auto* trace = obs::global_trace()) {
-      trace->set_thread_name("pipeline:kernel");
-    }
-    // Open this stage thread's counter group up front so the fd-open cost
-    // is not charged to the first span's window (no-op without a session).
-    obs::warm_thread_counters();
+  // Stage X, the kernel streams: gridder kernel + subgrid FFT per work
+  // group, several groups at once. Every stream records its spans directly
+  // into the shared sink (thread-safe).
+  const auto kernel_stream = [&] {
     const char* site = stage::kGridder;
     std::int64_t group = -1;
     try {
@@ -158,17 +215,17 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
         IDG_FAULT_POINT("pipelined.grid.push", group);
         if (!to_adder.push(ticket)) break;
       }
-      to_adder.close();
     } catch (...) {
       fail(site, group);
     }
-  });
+  };
 
-  // Stage S: a single consumer pops tickets in order — preserving the
-  // free-buffer back-pressure and one adder span per work group — and fans
-  // each group's tile-binned accumulation out over a small worker pool.
-  // Tiles are disjoint grid regions, so the workers never race on `grid`;
-  // a worker exception aborts the job and rethrows here (threadpool.hpp).
+  // Stage S: one consumer adds the groups in dispatch order — preserving
+  // the free-buffer back-pressure and one adder span per work group — and
+  // fans each group's tile-binned accumulation out over a small worker
+  // pool. Tiles are disjoint grid regions, so the workers never race on
+  // `grid`; a worker exception aborts the job and rethrows here
+  // (threadpool.hpp).
   WorkerPool adder_pool(nr_adder_threads_ - 1);
   adder_pool.instrument("pipeline:grid:adder-pool");
   std::thread adder_thread([&] {
@@ -178,71 +235,64 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
     obs::warm_thread_counters();
     std::int64_t group = -1;
     try {
-      Ticket ticket;
-      while (to_adder.pop(ticket)) {
-        const auto items = plan.work_group(ticket.group);
-        const TileBinning& binning = plan.work_group_tiles(ticket.group);
-        const auto subgrids = buffers[ticket.buffer].cview();
-        group = static_cast<std::int64_t>(ticket.group);
-        ctl.check_cancel("pipelined.grid.adder", group);
-        IDG_FAULT_GUARD_FINITE(
-            "pipelined.grid.adder", group,
-            reinterpret_cast<const float*>(buffers[ticket.buffer].data()),
-            items.size() * active_floats);
-        {
-          obs::Span span(sink, stage::kAdder, group);
-          IDG_FAULT_POINT("pipelined.grid.adder", group);
-          adder_pool.parallel_for(
-              binning.nr_tiles(),
-              [&](std::size_t tile) {
-                add_tile(params_, items, binning, tile, subgrids, grid);
-              },
-              ctl.cancel);
+      // The streams finish groups out of order. Early tickets wait here for
+      // their turn, so every pixel sums its groups in the synchronous
+      // Processor's order and the grid stays bit-identical.
+      std::map<std::size_t, Ticket> pending;
+      std::size_t next = 0;
+      Ticket arrived;
+      while (to_adder.pop(arrived)) {
+        pending.emplace(arrived.seq, arrived);
+        while (!pending.empty() && pending.begin()->first == next) {
+          const Ticket ticket = pending.begin()->second;
+          pending.erase(pending.begin());
+          ++next;
+          const auto items = plan.work_group(ticket.group);
+          const TileBinning& binning = plan.work_group_tiles(ticket.group);
+          const auto subgrids = buffers[ticket.buffer].cview();
+          group = static_cast<std::int64_t>(ticket.group);
+          ctl.check_cancel("pipelined.grid.adder", group);
+          IDG_FAULT_GUARD_FINITE(
+              "pipelined.grid.adder", group,
+              reinterpret_cast<const float*>(buffers[ticket.buffer].data()),
+              items.size() * active_floats);
+          {
+            obs::Span span(sink, stage::kAdder, group);
+            IDG_FAULT_POINT("pipelined.grid.adder", group);
+            adder_pool.parallel_for(
+                binning.nr_tiles(),
+                [&](std::size_t tile) {
+                  add_tile(params_, items, binning, tile, subgrids, grid);
+                },
+                ctl.cancel);
+          }
+          sink.record_bytes(stage::kAdder,
+                            adder_moved_bytes(params_, items.size()));
+          if (!free_buffers.push(ticket.buffer)) return;
         }
-        sink.record_bytes(stage::kAdder,
-                          adder_moved_bytes(params_, items.size()));
-        if (!free_buffers.push(ticket.buffer)) break;
       }
     } catch (...) {
       fail(stage::kAdder, group);
     }
   });
 
-  // Stage L (this thread): acquire a free buffer and dispatch the group.
-  // The visibility gather happens inside the kernel; acquiring the buffer
-  // is the back-pressure point that keeps at most nr_buffers_ groups in
-  // flight. On failure the queues close, the wait returns kClosed, and the
-  // dispatch loop stops. A cancellation (deadline) observed here fails the
-  // run through the same path — the queues close and the stage threads
-  // unwind — so the CancelledError below surfaces on the caller instead of
-  // a silently partial grid.
-  bool aborted = false;
+  // Stage L (this thread). The visibility gather happens inside the kernel,
+  // so dispatching a group is acquiring its buffer.
+  std::vector<std::thread> streams;
   try {
-    for (std::size_t g = 0; g < nr_groups && !aborted; ++g) {
-      if (scrubbed.group_skipped(g) || ctl.group_skipped(g)) continue;
-      ctl.check_cancel("pipelined.grid.dispatch",
-                       static_cast<std::int64_t>(g));
-      std::size_t buffer = 0;
-      for (;;) {
-        const QueueWaitResult r =
-            free_buffers.pop_for(buffer, kOrchestratorPollInterval);
-        if (r == QueueWaitResult::kOk) break;
-        ctl.check_cancel("pipelined.grid.dispatch",
-                         static_cast<std::int64_t>(g));
-        if (r == QueueWaitResult::kClosed || error.failed()) {
-          aborted = true;
-          break;
-        }
-      }
-      if (aborted) break;
-      if (!to_kernel.push({g, buffer})) break;
-    }
+    start_kernel_streams(nr_buffers_, kernel_stream, streams);
+    dispatch_groups(
+        nr_groups,
+        [&](std::size_t g) {
+          return scrubbed.group_skipped(g) || ctl.group_skipped(g);
+        },
+        free_buffers, to_kernel, error, ctl, "pipelined.grid.dispatch");
   } catch (...) {
     fail("dispatch", -1);
   }
   to_kernel.close();
-
-  kernel_thread.join();
+  for (auto& stream : streams) stream.join();
+  to_adder.close();
   adder_thread.join();
   error.rethrow_if_failed();
 
@@ -296,10 +346,8 @@ void PipelinedDegridder::degrid_visibilities(
   KernelData data{uvw, plan.wavenumbers(), aterms, taper_.cview()};
 
   BoundedQueue<std::size_t> free_buffers(nr_buffers_);
-  BoundedQueue<Ticket> to_fft(nr_buffers_);
   BoundedQueue<Ticket> to_kernel(nr_buffers_);
   free_buffers.instrument("pipeline:degrid:free-buffers");
-  to_fft.instrument("pipeline:degrid:to-fft");
   to_kernel.instrument("pipeline:degrid:to-kernel");
   for (std::size_t b = 0; b < nr_buffers_; ++b) free_buffers.push(b);
 
@@ -307,56 +355,47 @@ void PipelinedDegridder::degrid_visibilities(
   const auto fail = [&](const char* site, std::int64_t group) {
     error.set(site, group, std::current_exception());
     free_buffers.close_with_error();
-    to_fft.close_with_error();
     to_kernel.close_with_error();
   };
 
-  // Stage: subgrid IFFT (device-side "kernel stream" #1).
-  std::thread fft_thread([&] {
-    if (auto* trace = obs::global_trace()) {
-      trace->set_thread_name("pipeline:fft");
-    }
-    obs::warm_thread_counters();
-    std::int64_t group = -1;
-    try {
-      Ticket ticket;
-      while (to_fft.pop(ticket)) {
-        const auto items = plan.work_group(ticket.group);
-        group = static_cast<std::int64_t>(ticket.group);
-        ctl.check_cancel("pipelined.degrid.fft", group);
-        {
-          obs::Span span(sink, stage::kSubgridFft, group);
-          IDG_FAULT_POINT("pipelined.degrid.fft", group);
-          subgrid_fft(SubgridFftDirection::ToImage,
-                      buffers[ticket.buffer].view(), items.size());
-        }
-        if (!to_kernel.push(ticket)) break;
-      }
-      to_kernel.close();
-    } catch (...) {
-      fail(stage::kSubgridFft, group);
-    }
-  });
-
-  // Stage: degridder kernel; disjoint (baseline, time, channel) blocks per
-  // work item make concurrent writes to `visibilities` race-free — the
-  // same disjointness makes the per-group flag zeroing below race-free.
-  std::uint64_t zeroed = 0;
-  std::thread kernel_thread([&] {
-    if (auto* trace = obs::global_trace()) {
-      trace->set_thread_name("pipeline:kernel");
-    }
-    // Open this stage thread's counter group up front so the fd-open cost
-    // is not charged to the first span's window (no-op without a session).
-    obs::warm_thread_counters();
+  // The kernel streams: splitter (reads the immutable grid into the
+  // group's buffer) -> subgrid IFFT -> degridder kernel per work group,
+  // polling the cancel token before each stage so a deadline that expires
+  // mid-group is seen at the next stage. Disjoint (baseline, time, channel)
+  // blocks per work item make concurrent writes to `visibilities`
+  // race-free, across streams as within one — the same disjointness makes
+  // the per-group flag zeroing race-free.
+  std::atomic<std::uint64_t> zeroed{0};
+  const auto kernel_stream = [&] {
+    const char* site = stage::kSplitter;
     std::int64_t group = -1;
     try {
       Ticket ticket;
       while (to_kernel.pop(ticket)) {
         const auto items = plan.work_group(ticket.group);
         group = static_cast<std::int64_t>(ticket.group);
+        ctl.check_cancel("pipelined.degrid.splitter", group);
+        {
+          site = stage::kSplitter;
+          obs::Span span(sink, stage::kSplitter, group);
+          IDG_FAULT_POINT("pipelined.degrid.splitter", group);
+          split_subgrids_from_grid(params_, items,
+                                   plan.work_group_tiles(ticket.group), grid,
+                                   buffers[ticket.buffer].view());
+        }
+        sink.record_bytes(stage::kSplitter,
+                          splitter_moved_bytes(params_, items.size()));
+        ctl.check_cancel("pipelined.degrid.fft", group);
+        {
+          site = stage::kSubgridFft;
+          obs::Span span(sink, stage::kSubgridFft, group);
+          IDG_FAULT_POINT("pipelined.degrid.fft", group);
+          subgrid_fft(SubgridFftDirection::ToImage,
+                      buffers[ticket.buffer].view(), items.size());
+        }
         ctl.check_cancel("pipelined.degrid.kernel", group);
         {
+          site = stage::kDegridder;
           obs::Span span(sink, stage::kDegridder, group);
           IDG_FAULT_POINT("pipelined.degrid.kernel", group);
           kernels_->degrid(params_, data, items,
@@ -368,52 +407,30 @@ void PipelinedDegridder::degrid_visibilities(
         if (!free_buffers.push(ticket.buffer)) break;
       }
     } catch (...) {
-      fail(stage::kDegridder, group);
+      fail(site, group);
     }
-  });
+  };
 
-  // This thread: splitter (reads the immutable grid into a free buffer).
-  bool aborted = false;
+  // This thread only hands out buffers.
+  std::vector<std::thread> streams;
   try {
-    for (std::size_t g = 0; g < nr_groups && !aborted; ++g) {
-      if (scrubbed.group_skipped(g) || ctl.group_skipped(g)) continue;
-      ctl.check_cancel("pipelined.degrid.splitter",
-                       static_cast<std::int64_t>(g));
-      std::size_t buffer = 0;
-      for (;;) {
-        const QueueWaitResult r =
-            free_buffers.pop_for(buffer, kOrchestratorPollInterval);
-        if (r == QueueWaitResult::kOk) break;
-        ctl.check_cancel("pipelined.degrid.splitter",
-                         static_cast<std::int64_t>(g));
-        if (r == QueueWaitResult::kClosed || error.failed()) {
-          aborted = true;
-          break;
-        }
-      }
-      if (aborted) break;
-      const auto items = plan.work_group(g);
-      {
-        obs::Span span(sink, stage::kSplitter, static_cast<std::int64_t>(g));
-        IDG_FAULT_POINT("pipelined.degrid.splitter", g);
-        split_subgrids_from_grid(params_, items, plan.work_group_tiles(g),
-                                 grid, buffers[buffer].view());
-      }
-      sink.record_bytes(stage::kSplitter,
-                        splitter_moved_bytes(params_, items.size()));
-      if (!to_fft.push({g, buffer})) break;
-    }
+    start_kernel_streams(nr_buffers_, kernel_stream, streams);
+    dispatch_groups(
+        nr_groups,
+        [&](std::size_t g) {
+          return scrubbed.group_skipped(g) || ctl.group_skipped(g);
+        },
+        free_buffers, to_kernel, error, ctl, "pipelined.degrid.dispatch");
   } catch (...) {
-    fail(stage::kSplitter, -1);
+    fail("dispatch", -1);
   }
-  to_fft.close();
-
-  fft_thread.join();
-  kernel_thread.join();
+  to_kernel.close();
+  for (auto& stream : streams) stream.join();
   error.rethrow_if_failed();
 
   if (flags.size() != 0) {
-    sink.record_data_quality(stage::kScrub, zeroed + scrubbed.report.scrubbed(),
+    sink.record_data_quality(stage::kScrub,
+                             zeroed.load() + scrubbed.report.scrubbed(),
                              scrubbed.report.skipped_samples);
   }
 

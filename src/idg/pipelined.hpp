@@ -6,27 +6,34 @@
 // streams, synchronized with events, with three buffer sets so a stage can
 // start on work group k+1 while the next stage still holds k.
 //
-// This module reproduces that execution structure on the CPU with three
-// pipeline stages connected by bounded queues over a rotating pool of
-// subgrid buffers:
+// This module reproduces that execution structure on the CPU with pipeline
+// stages connected by bounded queues over a rotating pool of subgrid
+// buffers:
 //
-//   stage L ("HtoD"): gather + stage the work group's inputs,
-//   stage X ("kernel"): gridder kernel + subgrid FFT,
-//   stage S ("DtoH"): adder into the grid.
+//   stage L ("HtoD", the calling thread): hand a free buffer to the next
+//     work group, in group order;
+//   stage X ("kernel"), the kernel streams: gridder kernel + subgrid FFT,
+//     or splitter + subgrid IFFT + degridder kernel;
+//   stage S ("DtoH", gridding only): adder into the grid.
 //
-// Stage S keeps the paper's single consumer — one thread pops tickets in
-// order, so the free-buffer back-pressure and the one-adder-span-per-group
-// accounting are unchanged — but inside each ticket it fans the tile-binned
-// adder out over a small WorkerPool: tiles are disjoint grid regions, so
-// the workers accumulate concurrently without atomics (see adder.hpp).
+// Stage X runs as several kernel streams, the CPU counterpart of the
+// paper's CUDA streams: each is a thread that takes one (group, buffer)
+// ticket at a time and runs one OpenMP team of the caller's size on it. A
+// call starts omp_get_num_procs() / omp_get_max_threads() streams, at least
+// one and at most nr_buffers - 1, so the kernels use every CPU the process
+// may use. The streams finish groups out of order; stage S is one consumer
+// that adds them in dispatch order (early tickets wait for their turn), so
+// every grid pixel sums its groups in the synchronous order. Inside each
+// ticket it fans the tile-binned adder out over a small WorkerPool: tiles
+// are disjoint grid regions, so the workers accumulate concurrently
+// without atomics (see adder.hpp). Degridding needs no stage S: work items
+// own disjoint visibilities, so the streams write them directly.
 //
-// On a machine with enough cores the stages overlap exactly like Fig 7;
-// the output is bit-identical to the synchronous Processor (verified by
+// The output is bit-identical to the synchronous Processor (verified by
 // tests). The buffer pool size (default 3 = triple buffering) bounds
-// memory exactly like the paper's three device buffer sets. All stage
-// threads record their spans into one shared obs::MetricsSink, so the
-// aggregated per-stage view is directly comparable to the synchronous
-// Processor's.
+// memory exactly like the paper's three device buffer sets. All threads
+// record their spans into one shared obs::MetricsSink, so the aggregated
+// per-stage view is directly comparable to the synchronous Processor's.
 #pragma once
 
 #include <atomic>
@@ -283,8 +290,9 @@ class PipelinedGridder {
 
   const Parameters& parameters() const { return params_; }
 
-  /// Grids all planned visibilities; the three stage threads record their
-  /// spans concurrently into `sink` (thread-safe accumulation). Flagged /
+  /// Grids all planned visibilities; the kernel streams and the adder
+  /// thread record their spans concurrently into `sink` (thread-safe
+  /// accumulation). Flagged /
   /// non-finite samples are scrubbed up front (on the calling thread) per
   /// Parameters::bad_sample_policy; a stage failure closes every queue,
   /// joins the threads and rethrows as a descriptive idg::StageFailure.
@@ -314,9 +322,9 @@ class PipelinedGridder {
   Array2D<float> taper_;
 };
 
-/// Pipelined degridding executor: splitter -> subgrid IFFT -> degridder
-/// kernel over overlapping work groups; results are identical to
-/// Processor::degrid_visibilities.
+/// Pipelined degridding executor: each kernel stream runs splitter ->
+/// subgrid IFFT -> degridder kernel on its work group, several groups at
+/// once; results are identical to Processor::degrid_visibilities.
 class PipelinedDegridder {
  public:
   PipelinedDegridder(Parameters params,

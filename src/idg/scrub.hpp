@@ -109,7 +109,7 @@ DegridScrub scrub_degrid_plan(const Parameters& params, const Plan& plan,
 /// Zeroes the flagged entries of `visibilities` covered by `items`
 /// (kZeroAndContinue after degridding); returns how many it zeroed. Work
 /// items cover disjoint (baseline, time, channel) blocks, so calling this
-/// per work group from concurrent stage threads is race-free.
+/// per work group from concurrent kernel streams is race-free.
 std::uint64_t zero_flagged_outputs(std::span<const WorkItem> items,
                                    FlagView flags,
                                    ArrayView<Visibility, 3> visibilities);

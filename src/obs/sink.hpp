@@ -2,7 +2,7 @@
 //
 // A `MetricsSink` receives the measurements of completed `obs::Span`s and
 // the analytic op/byte counters the pipelines attribute to each stage. All
-// bundled sinks are thread-safe: the three stage threads of
+// bundled sinks are thread-safe: the kernel streams and adder thread of
 // `PipelinedProcessor` record into one shared sink concurrently and the
 // result is a single coherent view (the paper's Fig 7 pipeline reports the
 // same per-stage totals as the synchronous Fig 4 pipeline).

@@ -12,6 +12,7 @@
 //      silently wrong grid. Injection cases GTEST_SKIP unless the build
 //      compiled the hooks in (cmake -DIDG_FAULT_INJECTION=ON).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <chrono>
 #include <cmath>
@@ -31,6 +32,7 @@
 #include "idg/scrub.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
+#include "scoped_threads.hpp"
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
 
@@ -38,6 +40,7 @@ namespace {
 
 using namespace idg;
 using namespace std::chrono_literals;
+using idg::test::ScopedThreads;
 
 // --- fixture ----------------------------------------------------------------
 
@@ -84,6 +87,11 @@ bool grids_bit_identical(const Array3D<cfloat>& a, const Array3D<cfloat>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0;
 }
+
+/// The team sizes the pipelined failure paths run at: the default team
+/// (one kernel stream when it spans the CPUs) and one thread (as many
+/// kernel streams as the buffers allow, DESIGN.md §9).
+std::vector<int> pipeline_teams() { return {omp_get_max_threads(), 1}; }
 
 /// RAII: no injection arms leak from one test into the next.
 struct DisarmGuard {
@@ -398,13 +406,14 @@ TEST(FaultInjectorTest, DrawsAreDeterministicAcrossRuns) {
 struct SiteCase {
   const char* backend;
   const char* site;
+  const char* stage;  ///< the stage the StageFailure must name
 };
 
 class FaultSiteTest : public ::testing::TestWithParam<SiteCase> {};
 
 TEST_P(FaultSiteTest, InjectedThrowSurfacesAsDescriptiveErrorNotHang) {
   SKIP_WITHOUT_INJECTION();
-  const auto [backend, site] = GetParam();
+  const auto [backend, site, stage_name] = GetParam();
   fault::Arm arm;
   arm.site = site;
   arm.index = 1;  // fail mid-pipeline, with groups in flight
@@ -412,47 +421,57 @@ TEST_P(FaultSiteTest, InjectedThrowSurfacesAsDescriptiveErrorNotHang) {
 
   auto s = Setup::make();
   ASSERT_GT(s.plan.nr_work_groups(), 2u);
-  const auto start = std::chrono::steady_clock::now();
   const bool is_degrid = std::string(site).find("degrid") != std::string::npos;
-  try {
-    if (is_degrid) {
-      auto b = make_backend(backend, s.params);
-      Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
-                           s.params.grid_size);
-      Array3D<Visibility> predicted(s.ds.nr_baselines(), s.ds.nr_timesteps(),
-                                    s.ds.nr_channels());
-      b->degrid(s.plan, s.ds.uvw.cview(), grid.cview(), s.aterms.cview(),
-                predicted.view());
-    } else {
-      s.run_grid(backend);
+  for (const int threads : pipeline_teams()) {
+    SCOPED_TRACE(std::to_string(threads) + "-thread team");
+    const ScopedThreads team(threads);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      if (is_degrid) {
+        auto b = make_backend(backend, s.params);
+        Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
+                             s.params.grid_size);
+        Array3D<Visibility> predicted(
+            s.ds.nr_baselines(), s.ds.nr_timesteps(), s.ds.nr_channels());
+        b->degrid(s.plan, s.ds.uvw.cview(), grid.cview(), s.aterms.cview(),
+                  predicted.view());
+      } else {
+        s.run_grid(backend);
+      }
+      ADD_FAILURE() << "expected idg::Error from site " << site;
+    } catch (const StageFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("injected fault"), std::string::npos) << what;
+      EXPECT_NE(what.find(site), std::string::npos) << what;
+      EXPECT_EQ(e.site(), stage_name) << what;
+      EXPECT_EQ(e.group(), 1) << what;
     }
-    FAIL() << "expected idg::Error from site " << site;
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("injected fault"), std::string::npos) << what;
-    EXPECT_NE(what.find(site), std::string::npos) << what;
+    // Bounded-time failure: a stuck queue — or an in-order adder left
+    // waiting for a group whose stream failed — would block far longer
+    // (the TSan / ASan CI jobs run this whole suite, so a latent deadlock
+    // trips there).
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
   }
-  // Bounded-time failure: a stuck queue would block far longer (the TSan /
-  // ASan CI jobs run this whole suite, so a latent deadlock trips there).
-  EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSites, FaultSiteTest,
     ::testing::Values(
-        SiteCase{"synchronous", "processor.grid.kernel"},
-        SiteCase{"synchronous", "processor.grid.fft"},
-        SiteCase{"synchronous", "processor.grid.adder"},
-        SiteCase{"synchronous", "processor.degrid.splitter"},
-        SiteCase{"synchronous", "processor.degrid.fft"},
-        SiteCase{"synchronous", "processor.degrid.kernel"},
-        SiteCase{"pipelined", "pipelined.grid.kernel"},
-        SiteCase{"pipelined", "pipelined.grid.fft"},
-        SiteCase{"pipelined", "pipelined.grid.adder"},
-        SiteCase{"pipelined", "pipelined.grid.push"},
-        SiteCase{"pipelined", "pipelined.degrid.splitter"},
-        SiteCase{"pipelined", "pipelined.degrid.fft"},
-        SiteCase{"pipelined", "pipelined.degrid.kernel"}),
+        SiteCase{"synchronous", "processor.grid.kernel", stage::kGridder},
+        SiteCase{"synchronous", "processor.grid.fft", stage::kSubgridFft},
+        SiteCase{"synchronous", "processor.grid.adder", stage::kAdder},
+        SiteCase{"synchronous", "processor.degrid.splitter",
+                 stage::kSplitter},
+        SiteCase{"synchronous", "processor.degrid.fft", stage::kSubgridFft},
+        SiteCase{"synchronous", "processor.degrid.kernel", stage::kDegridder},
+        SiteCase{"pipelined", "pipelined.grid.kernel", stage::kGridder},
+        SiteCase{"pipelined", "pipelined.grid.fft", stage::kSubgridFft},
+        SiteCase{"pipelined", "pipelined.grid.adder", stage::kAdder},
+        // The push follows the FFT in the same stream.
+        SiteCase{"pipelined", "pipelined.grid.push", stage::kSubgridFft},
+        SiteCase{"pipelined", "pipelined.degrid.splitter", stage::kSplitter},
+        SiteCase{"pipelined", "pipelined.degrid.fft", stage::kSubgridFft},
+        SiteCase{"pipelined", "pipelined.degrid.kernel", stage::kDegridder}),
     [](const ::testing::TestParamInfo<SiteCase>& info) {
       std::string name = info.param.site;
       for (char& c : name) {
@@ -506,19 +525,68 @@ TEST(FaultInjectionTest, DelayedQueuePushRecoversBitIdentical) {
 TEST(FaultInjectionTest, PipelinedFailureReleasesResourcesForTheNextRun) {
   SKIP_WITHOUT_INJECTION();
   // A failed run must leave no stuck threads or poisoned global state: the
-  // same backend must produce a correct grid immediately afterwards.
+  // same backend must produce a correct grid immediately afterwards, with
+  // one kernel stream and with several.
   auto reference = Setup::make();
   const auto ref_grid = reference.run_grid("pipelined");
 
-  fault::Arm arm;
-  arm.site = "pipelined.grid.adder";
-  arm.index = 0;
-  fault::Injector::instance().arm(arm);
-  auto s = Setup::make();
-  EXPECT_THROW(s.run_grid("pipelined"), Error);
+  for (const int threads : pipeline_teams()) {
+    SCOPED_TRACE(std::to_string(threads) + "-thread team");
+    const ScopedThreads team(threads);
+    fault::Arm arm;
+    arm.site = "pipelined.grid.adder";
+    arm.index = 0;
+    fault::Injector::instance().arm(arm);
+    auto s = Setup::make();
+    EXPECT_THROW(s.run_grid("pipelined"), Error);
 
-  fault::Injector::instance().disarm_all();
-  EXPECT_TRUE(grids_bit_identical(s.run_grid("pipelined"), ref_grid));
+    fault::Injector::instance().disarm_all();
+    EXPECT_TRUE(grids_bit_identical(s.run_grid("pipelined"), ref_grid));
+  }
+}
+
+TEST(FaultInjectionTest, DeadlineExpiringMidCallCancelsEveryStream) {
+  SKIP_WITHOUT_INJECTION();
+  // Group 1 stalls in its first stage while the other streams, the
+  // dispatcher and (on grid) the in-order adder carry on; the deadline
+  // expires mid-call. The stalled stream's next cancel poll — the grid
+  // adder's for group 1, the degrid stream's before group 1's FFT — must
+  // unwind every thread, including an adder that holds later groups
+  // waiting for group 1.
+  for (const int threads : pipeline_teams()) {
+    for (const char* site :
+         {"pipelined.grid.kernel", "pipelined.degrid.splitter"}) {
+      SCOPED_TRACE(std::string(site) + ", " + std::to_string(threads) +
+                   "-thread team");
+      const ScopedThreads team(threads);
+      fault::Injector::instance().disarm_all();
+      fault::Injector::instance().arm_from_spec(std::string(site) +
+                                                "@1=delay:2000");
+      auto s = Setup::make();
+      ASSERT_GT(s.plan.nr_work_groups(), 2u);
+      s.params.deadline_ms = 150;
+      auto backend = make_backend("pipelined", s.params);
+      const auto start = std::chrono::steady_clock::now();
+      if (std::string(site).find("degrid") != std::string::npos) {
+        Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
+                             s.params.grid_size);
+        Array3D<Visibility> predicted(
+            s.ds.nr_baselines(), s.ds.nr_timesteps(), s.ds.nr_channels());
+        EXPECT_THROW(backend->degrid(s.plan, s.ds.uvw.cview(), grid.cview(),
+                                     s.aterms.cview(), predicted.view()),
+                     CancelledError);
+      } else {
+        Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
+                             s.params.grid_size);
+        EXPECT_THROW(
+            backend->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+                          s.aterms.cview(), grid.view()),
+            CancelledError);
+      }
+      EXPECT_GT(fault::Injector::instance().fired(site), 0u);
+      EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -942,10 +943,13 @@ TEST(BackendTest, ProcessorAndPipelinedReportIdenticalOpCounts) {
     EXPECT_EQ(ma.invocations, mb.invocations) << stage_name;
   }
 
-  // And so are the gridded pixels (same kernels, same accumulation order).
+  // And so are the gridded pixels (same kernels, same accumulation order)
+  // and the predicted visibilities.
   for (std::size_t i = 0; i < grid_sync.size(); ++i) {
     ASSERT_EQ(grid_sync.data()[i], grid_async.data()[i]) << "pixel " << i;
   }
+  EXPECT_EQ(
+      std::memcmp(vis_sync.data(), vis_async.data(), vis_sync.bytes()), 0);
 }
 
 TEST(BackendTest, PipelinedThreadsAccumulateIntoOneSink) {
@@ -1019,7 +1023,8 @@ TEST(PipelinedTraceTest, TimelineShowsConcurrentStagesAndBoundedQueues) {
   const auto run = traced_pipelined_run(s);
 
   // The paper's Fig 7 structure: stage spans on >= 3 distinct threads
-  // (grid kernel + adder threads, degrid splitter/fft/kernel threads).
+  // (the caller's scrub, grid kernel streams + adder thread, degrid kernel
+  // streams).
   EXPECT_GE(run.span_tids.size(), 3u);
 
   // Every work group left one span per stage, tagged with its group id.
@@ -1037,16 +1042,16 @@ TEST(PipelinedTraceTest, TimelineShowsConcurrentStagesAndBoundedQueues) {
                                static_cast<std::int64_t>(g)}), 2u);
   }
 
-  // All six queue counter tracks reported, with depths within the bound
+  // All five queue counter tracks reported, with depths within the bound
   // (3 buffers) and deterministic sample counts (one per push/pop).
-  ASSERT_EQ(run.queue_samples.size(), 6u);
+  ASSERT_EQ(run.queue_samples.size(), 5u);
   for (const auto& [name, mx] : run.queue_max) {
     EXPECT_LE(mx, 3) << name;  // nr_buffers = 3
   }
   EXPECT_EQ(run.queue_samples.at("pipeline:grid:free-buffers"),
             3 + 2 * groups);
   EXPECT_EQ(run.queue_samples.at("pipeline:grid:to-kernel"), 2 * groups);
-  EXPECT_EQ(run.queue_samples.at("pipeline:degrid:to-fft"), 2 * groups);
+  EXPECT_EQ(run.queue_samples.at("pipeline:degrid:to-kernel"), 2 * groups);
 
   // The exported Chrome trace is well-formed JSON.
   EXPECT_NO_THROW(testjson::parse(run.chrome_json));

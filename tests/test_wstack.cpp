@@ -4,11 +4,17 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numbers>
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "idg/image.hpp"
 #include "idg/pipelined.hpp"
@@ -17,6 +23,8 @@
 #include "idg/taper.hpp"
 #include "idg/wplane.hpp"
 #include "idg/wstack.hpp"
+#include "obs/sink.hpp"
+#include "scoped_threads.hpp"
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
 #include "sim/predict.hpp"
@@ -24,6 +32,7 @@
 namespace {
 
 using namespace idg;
+using idg::test::ScopedThreads;
 
 // --- WPlaneModel ---------------------------------------------------------------
 
@@ -357,20 +366,6 @@ void fill_random(A& a, unsigned seed) {
   for (auto& v : a) v = {dist(rng), dist(rng)};
 }
 
-/// Sets the OpenMP team size for one scope.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ScopedThreads() { omp_set_num_threads(saved_); }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  int saved_;
-};
-
 TEST(WStackCombineTest, MatchesThePerPlaneLoopByteForByte) {
   // The fused passes evaluate each screen row once, mirror it, and run the
   // transforms in shared parallel loops; the images and grids must still
@@ -563,6 +558,163 @@ TEST(PipelinedTest, DegridderMatchesSynchronousProcessorExactly) {
   EXPECT_GT(sink.seconds(stage::kDegridder), 0.0);
   EXPECT_GT(sink.seconds(stage::kSplitter), 0.0);
   EXPECT_GT(sink.seconds(stage::kSubgridFft), 0.0);
+}
+
+// --- kernel streams -------------------------------------------------------------
+//
+// The pipelined executor runs omp_get_num_procs() / omp_get_max_threads()
+// kernel streams, at most nr_buffers - 1; with the caller's team at one
+// thread and three buffers that is two streams on any host with two CPUs.
+
+#define SKIP_WITHOUT_TWO_CPUS()                           \
+  if (omp_get_num_procs() < 2) {                          \
+    GTEST_SKIP() << "two kernel streams need two CPUs";   \
+  }
+
+/// A dataset with several work groups per call, for the stream tests.
+struct StreamSetup {
+  sim::Dataset ds;
+  Parameters params;
+  sim::ATermCube aterms;
+
+  static StreamSetup make(BadSamplePolicy policy) {
+    sim::BenchmarkConfig cfg;
+    cfg.nr_stations = 6;
+    cfg.nr_timesteps = 32;
+    cfg.nr_channels = 4;
+    cfg.grid_size = 256;
+    cfg.subgrid_size = 16;
+    auto ds = sim::make_benchmark_dataset(cfg);
+    Parameters params;
+    params.grid_size = cfg.grid_size;
+    params.subgrid_size = cfg.subgrid_size;
+    params.image_size = ds.image_size;
+    params.nr_stations = cfg.nr_stations;
+    params.kernel_size = 4;
+    params.work_group_size = 4;
+    params.bad_sample_policy = policy;
+    auto aterms =
+        sim::make_identity_aterms(1, cfg.nr_stations, cfg.subgrid_size);
+    return {std::move(ds), params, std::move(aterms)};
+  }
+};
+
+TEST(PipelinedStreamsTest, TwoStreamsMatchTheProcessorByteForByte) {
+  SKIP_WITHOUT_TWO_CPUS();
+  const ScopedThreads team(1);
+  struct Case {
+    const char* name;
+    int planes;
+    BadSamplePolicy policy;
+    bool flagged;
+    bool skip_group_1;
+  };
+  for (const Case& c :
+       {Case{"4-plane stack", 4, BadSamplePolicy::kZeroAndContinue, false,
+             false},
+        Case{"flagged, zero_and_continue", 1,
+             BadSamplePolicy::kZeroAndContinue, true, false},
+        Case{"flagged, skip_work_group", 1, BadSamplePolicy::kSkipWorkGroup,
+             true, false},
+        Case{"skip_groups mask", 1, BadSamplePolicy::kZeroAndContinue, false,
+             true}}) {
+    SCOPED_TRACE(c.name);
+    auto s = StreamSetup::make(c.policy);
+    if (c.flagged) {
+      sim::apply_rfi_flags(s.ds, 0.0);
+      s.ds.flags(0, 0, 0) = 1;
+      s.ds.flags(4, 9, 2) = 1;
+      s.ds.flags(9, 20, 1) = 1;
+    }
+    const WPlaneModel wplanes =
+        WPlaneModel::fit(c.planes, s.ds.uvw, s.ds.frequencies);
+    const Plan plan(s.params, s.ds.uvw, s.ds.frequencies, s.ds.baselines,
+                    c.planes > 1 ? &wplanes : nullptr);
+    ASSERT_GT(plan.nr_work_groups(), 3u);
+    if (c.planes > 1) {
+      ASSERT_TRUE(std::any_of(
+          plan.items().begin(), plan.items().end(),
+          [](const WorkItem& item) { return item.w_plane > 1; }));
+    }
+    std::vector<std::uint8_t> skip(plan.nr_work_groups(), 0);
+    skip[1] = c.skip_group_1 ? 1 : 0;
+    RunControl ctl;
+    ctl.skip_groups = skip;
+
+    const Processor sync(s.params);
+    const PipelinedProcessor piped(s.params);
+    const std::size_t g = s.params.grid_size;
+    const auto planes = static_cast<std::size_t>(c.planes);
+    Array3D<cfloat> grid_sync(planes * kNrPolarizations, g, g);
+    Array3D<cfloat> grid_piped(planes * kNrPolarizations, g, g);
+    sync.grid(plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+              s.ds.flag_view(), s.aterms.cview(), grid_sync.view(),
+              obs::null_sink(), ctl);
+    piped.grid(plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+               s.ds.flag_view(), s.aterms.cview(), grid_piped.view(),
+               obs::null_sink(), ctl);
+    EXPECT_TRUE(std::any_of(grid_sync.begin(), grid_sync.end(),
+                            [](cfloat v) { return v != cfloat{}; }));
+    EXPECT_EQ(std::memcmp(grid_sync.data(), grid_piped.data(),
+                          grid_sync.bytes()),
+              0);
+
+    Array3D<Visibility> vis_sync(s.ds.nr_baselines(), s.ds.nr_timesteps(),
+                                 s.ds.nr_channels());
+    Array3D<Visibility> vis_piped(s.ds.nr_baselines(), s.ds.nr_timesteps(),
+                                  s.ds.nr_channels());
+    sync.degrid(plan, s.ds.uvw.cview(), grid_sync.cview(), s.ds.flag_view(),
+                s.aterms.cview(), vis_sync.view(), obs::null_sink(), ctl);
+    piped.degrid(plan, s.ds.uvw.cview(), grid_sync.cview(), s.ds.flag_view(),
+                 s.aterms.cview(), vis_piped.view(), obs::null_sink(), ctl);
+    EXPECT_EQ(
+        std::memcmp(vis_sync.data(), vis_piped.data(), vis_sync.bytes()), 0);
+  }
+}
+
+/// Records which threads reported gridder spans. The first gridder span
+/// holds its thread (for at most 10 s) until another thread reports one,
+/// so a second stream, if the call has one, takes a group while the first
+/// is held, however the host schedules the streams.
+class GridderThreadsSink : public obs::MetricsSink {
+ public:
+  void record(std::string_view stage_name, double, std::uint64_t) override {
+    if (stage_name != stage::kGridder) return;
+    std::unique_lock lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+    second_thread_.notify_all();
+    if (held_) return;
+    held_ = true;
+    second_thread_.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return threads_.size() >= 2; });
+  }
+  void record_ops(std::string_view, const OpCounts&) override {}
+
+  std::size_t nr_threads() const {
+    std::lock_guard lock(mutex_);
+    return threads_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable second_thread_;
+  bool held_ = false;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(PipelinedStreamsTest, OneThreadTeamsGridOnTwoStreams) {
+  SKIP_WITHOUT_TWO_CPUS();
+  const ScopedThreads team(1);
+  auto s = StreamSetup::make(BadSamplePolicy::kZeroAndContinue);
+  const Plan plan(s.params, s.ds.uvw, s.ds.frequencies, s.ds.baselines);
+  ASSERT_GT(plan.nr_work_groups(), 3u);
+  const PipelinedProcessor piped(s.params);
+  Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
+                       s.params.grid_size);
+  GridderThreadsSink sink;
+  piped.grid(plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+             s.aterms.cview(), grid.view(), sink);
+  EXPECT_GE(sink.nr_threads(), 2u);
 }
 
 TEST(PipelinedTest, RejectsSingleBuffer) {
