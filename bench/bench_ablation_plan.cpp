@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   const double rms = sim::rms_amplitude(expected);
   auto model = sim::render_sky_image(sky, setup.params.grid_size,
                                      setup.params.image_size);
-  auto model_grid = model_image_to_grid(model);
+  auto model_grid = model_image_to_grid(model, setup.params);
 
   Array3D<Visibility> predicted(ds.nr_baselines(), ds.nr_timesteps(),
                                 ds.nr_channels());

@@ -45,9 +45,10 @@ int main(int argc, char** argv) {
                 grid.view(), sink);
   {
     obs::Span span(sink, stage::kGridFft);
-    auto dirty = make_dirty_image(grid, setup.plan.nr_planned_visibilities());
+    auto dirty = make_dirty_image(grid, setup.plan.nr_planned_visibilities(),
+                                  setup.params);
     (void)dirty;
-    auto model_grid = model_image_to_grid(dirty);
+    auto model_grid = model_image_to_grid(dirty, setup.params);
     (void)model_grid;
   }
   backend->degrid(setup.plan, setup.dataset.uvw.cview(), grid.cview(),

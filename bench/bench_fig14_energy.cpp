@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
                 grid.view(), sink);
   {
     obs::Span span(sink, stage::kGridFft);
-    auto dirty = make_dirty_image(grid, setup.plan.nr_planned_visibilities());
+    auto dirty = make_dirty_image(grid, setup.plan.nr_planned_visibilities(),
+                                  setup.params);
     (void)dirty;
   }
   backend->degrid(setup.plan, setup.dataset.uvw.cview(), grid.cview(),

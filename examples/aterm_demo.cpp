@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     processor.grid_visibilities(plan, ds.uvw.cview(), corrupted.cview(),
                                 aterms.cview(), grid.view());
     const double seconds = timer.seconds();
-    auto image = make_dirty_image(grid, plan.nr_planned_visibilities());
+    auto image = make_dirty_image(grid, plan.nr_planned_visibilities(), params);
     const std::size_t x = cfg.grid_size / 2 + 20;
     const std::size_t y = cfg.grid_size / 2 + 14;
     std::cout << label << ": source peak = " << std::setprecision(3)

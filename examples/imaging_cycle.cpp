@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\ntime per pipeline stage:\n";
-  for (const auto& [stage, seconds] : result.times.by_stage())
-    std::cout << "  " << stage << ": " << seconds << " s\n";
+  for (const auto& [stage, metrics] : result.metrics)
+    std::cout << "  " << stage << ": " << metrics.seconds << " s\n";
   return 0;
 }

@@ -41,19 +41,20 @@ int main(int argc, char** argv) {
   auto truth = sim::predict_visibilities(sky, ds.uvw, ds.baselines, ds.obs);
   const double rms = sim::rms_amplitude(truth);
 
-  auto model = sim::render_sky_image(sky, cfg.grid_size, ds.image_size);
-  auto grid = model_image_to_grid(model);
-
-  Array3D<Visibility> predicted(ds.nr_baselines(), ds.nr_timesteps(),
-                                ds.nr_channels());
-
-  // --- IDG ------------------------------------------------------------------
   Parameters params;
   params.grid_size = cfg.grid_size;
   params.subgrid_size = cfg.subgrid_size;
   params.image_size = ds.image_size;
   params.nr_stations = cfg.nr_stations;
   params.kernel_size = cfg.subgrid_size / 2;
+
+  auto model = sim::render_sky_image(sky, cfg.grid_size, ds.image_size);
+  auto grid = model_image_to_grid(model, params);
+
+  Array3D<Visibility> predicted(ds.nr_baselines(), ds.nr_timesteps(),
+                                ds.nr_channels());
+
+  // --- IDG ------------------------------------------------------------------
   Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
   auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
                                           cfg.subgrid_size);

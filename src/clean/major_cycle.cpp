@@ -55,26 +55,25 @@ MajorCycleCheckpoint load_checkpoint(const std::string& path) {
   std::uint64_t vis_dims[3];
   for (auto& d : image_dims) reader.read_pod(d, "image dimensions");
   for (auto& d : vis_dims) reader.read_pod(d, "visibility dimensions");
-  // The header fully determines the payload size; a length that overshoots
-  // what the file holds surfaces as a named truncation error from the
-  // array reads below rather than a huge allocation.
-  ckpt.peak_history.resize(std::min<std::uint64_t>(nr_peaks,
-                                                   reader.remaining() /
-                                                       sizeof(float)));
-  IDG_CHECK(ckpt.peak_history.size() == nr_peaks,
-            "checkpoint file truncated reading peak history");
-  ckpt.model_image = Array3D<cfloat>(image_dims[0], image_dims[1],
-                                     image_dims[2]);
-  ckpt.residual_image = Array3D<cfloat>(image_dims[0], image_dims[1],
-                                        image_dims[2]);
-  ckpt.residual_vis = Array3D<Visibility>(vis_dims[0], vis_dims[1],
-                                          vis_dims[2]);
+  // The header fully determines the payload size. Each array is checked
+  // against what the file still holds before it is allocated, so a length
+  // that overshoots the file is a named truncation error, not a huge (or
+  // wrapped-around) allocation.
+  ckpt.peak_history.resize(
+      reader.checked_count({&nr_peaks, 1}, sizeof(float), "peak history"));
   reader.read_array(ckpt.peak_history.data(), ckpt.peak_history.size(),
                     "peak history");
-  reader.read_array(ckpt.model_image.data(), ckpt.model_image.size(),
-                    "model image");
-  reader.read_array(ckpt.residual_image.data(), ckpt.residual_image.size(),
-                    "residual image");
+  const auto read_image = [&](const char* what) {
+    reader.checked_count(image_dims, sizeof(cfloat), what);
+    Array3D<cfloat> image(image_dims[0], image_dims[1], image_dims[2]);
+    reader.read_array(image.data(), image.size(), what);
+    return image;
+  };
+  ckpt.model_image = read_image("model image");
+  ckpt.residual_image = read_image("residual image");
+  reader.checked_count(vis_dims, sizeof(Visibility), "residual visibilities");
+  ckpt.residual_vis = Array3D<Visibility>(vis_dims[0], vis_dims[1],
+                                          vis_dims[2]);
   reader.read_array(ckpt.residual_vis.data(), ckpt.residual_vis.size(),
                     "residual visibilities");
   reader.finish();
@@ -209,8 +208,6 @@ MajorCycleResult run_major_cycles(const GridderBackend& backend,
     if (config.on_cycle) config.on_cycle(cycle + 1);
   }
   result.metrics = sink.snapshot();
-  for (const auto& [stage_name, m] : result.metrics)
-    result.times.add(stage_name, m.seconds);
   return result;
 }
 

@@ -18,7 +18,6 @@
 
 #include "clean/hogbom.hpp"
 #include "common/array.hpp"
-#include "common/timer.hpp"
 #include "common/types.hpp"
 #include "idg/backend.hpp"
 #include "idg/plan.hpp"
@@ -56,8 +55,6 @@ struct MajorCycleResult {
   std::vector<float> peak_history; ///< residual Stokes-I peak per cycle
   int total_components = 0;
   obs::MetricsSnapshot metrics;    ///< per-stage metrics (Fig 9 input)
-  StageTimes times;                ///< DEPRECATED: wall-clock view of
-                                   ///< `metrics`, kept for one release
 };
 
 /// Everything the major-cycle loop needs to restart after cycle

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 #include "common/error.hpp"
 
@@ -177,6 +178,28 @@ void CheckpointReader::extract(void* out, std::size_t size,
   // An empty array decodes into a null destination; memcpy must not see it.
   if (size != 0) std::memcpy(out, payload_.data() + offset_, size);
   offset_ += size;
+}
+
+std::size_t CheckpointReader::checked_count(std::span<const std::uint64_t> dims,
+                                           std::size_t element_size,
+                                           const char* what) const {
+  const std::uint64_t capacity = remaining() / element_size;
+  std::uint64_t count = 1;
+  bool fits = true;
+  for (const std::uint64_t d : dims) {
+    if (d == 0) return 0;  // an empty array fits, whatever its other extents
+    fits = fits && count <= capacity / d;
+    if (fits) count *= d;
+  }
+  if (!fits) {
+    std::ostringstream extents;
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      extents << (i == 0 ? "" : "x") << dims[i];
+    throw Error("checkpoint file truncated reading " + std::string(what) +
+                " (" + extents.str() + " elements of " +
+                std::to_string(element_size) + " bytes): " + path_);
+  }
+  return count;
 }
 
 void CheckpointReader::finish() const {

@@ -2,10 +2,10 @@
 //
 // Long multi-cycle imaging jobs snapshot their state after each major cycle
 // so a killed run can resume instead of restarting (clean/major_cycle.hpp).
-// The file contract mirrors sim/dataset_io: a fixed 8-byte magic, POD
-// header fields, raw arrays, and named errors for every way a file can be
-// wrong — truncation, trailing bytes, corruption. Two properties are added
-// on top:
+// The file contract: a fixed 8-byte magic, POD header fields, raw arrays,
+// and named errors for every way a file can be wrong — truncation, trailing
+// bytes, corruption, array extents that no file could hold. Two properties
+// are added on top:
 //
 //   * atomic replace — the writer stages the whole payload in memory and
 //     writes it to `<path>.tmp`, then renames over `<path>`. A reader (or
@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -100,6 +101,15 @@ class CheckpointReader {
     static_assert(std::is_trivially_copyable_v<T>);
     extract(data, count * sizeof(T), what);
   }
+
+  /// Number of elements of an array with extents `dims` and elements of
+  /// `element_size` bytes, to be read from the payload next. Call it before
+  /// allocating the array: it throws a named truncation error when the
+  /// product of the extents overflows or when the elements need more bytes
+  /// than the payload has left, so a corrupt header can never size an
+  /// allocation.
+  std::size_t checked_count(std::span<const std::uint64_t> dims,
+                            std::size_t element_size, const char* what) const;
 
   /// Throws when payload bytes remain unread (a header/payload mismatch —
   /// the file holds more data than its header accounts for).

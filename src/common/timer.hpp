@@ -1,22 +1,8 @@
-// Wall-clock timing and named accumulation buckets.
-//
-// The benches time each IDG stage (gridder, degridder, subgrid FFT, adder,
-// splitter, grid FFT) separately to reproduce the runtime-distribution and
-// energy figures (Figs 9, 14).
-//
-// DEPRECATED: `StageTimes` is superseded by the observability layer in
-// src/obs/ — inject an `obs::MetricsSink` (e.g. `obs::AggregateSink`)
-// instead, which additionally captures invocation counts and op/byte
-// counters and is safe to share across the pipeline threads. The
-// `StageTimes*` out-parameter overloads of the pipelines have been removed;
-// `StageTimes` itself (and the `obs::StageTimesSink` adapter) remain for
-// callers that aggregate named duration buckets directly, e.g.
-// clean/major_cycle's per-cycle totals.
+// Wall-clock stopwatch. Per-stage times go through the observability
+// layer instead (obs::Span into an obs::MetricsSink, src/obs/).
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace idg {
 
@@ -35,53 +21,6 @@ class Timer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates wall-clock seconds per named pipeline stage.
-class StageTimes {
- public:
-  void add(const std::string& stage, double seconds) {
-    seconds_[stage] += seconds;
-  }
-
-  double get(const std::string& stage) const {
-    auto it = seconds_.find(stage);
-    return it == seconds_.end() ? 0.0 : it->second;
-  }
-
-  double total() const {
-    double sum = 0.0;
-    for (const auto& [_, s] : seconds_) sum += s;
-    return sum;
-  }
-
-  const std::map<std::string, double>& by_stage() const { return seconds_; }
-
-  StageTimes& operator+=(const StageTimes& other) {
-    for (const auto& [stage, s] : other.seconds_) seconds_[stage] += s;
-    return *this;
-  }
-
-  void clear() { seconds_.clear(); }
-
- private:
-  std::map<std::string, double> seconds_;
-};
-
-/// RAII helper: adds the scope's wall time to a StageTimes bucket.
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(StageTimes& times, std::string stage)
-      : times_(times), stage_(std::move(stage)) {}
-  ~ScopedStageTimer() { times_.add(stage_, timer_.seconds()); }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  StageTimes& times_;
-  std::string stage_;
-  Timer timer_;
 };
 
 }  // namespace idg

@@ -30,34 +30,7 @@ std::optional<std::string> canonical_executor(const std::string& name) {
   throw Error(oss.str());
 }
 
-KernelSetResolver g_kernel_set_resolver = nullptr;
-
-/// The kernel set a BackendOptions selects: an explicit pointer wins, then
-/// the registry name (through the installed resolver), then the reference
-/// set.
-const KernelSet& resolve_kernels(const BackendOptions& options) {
-  if (options.kernels != nullptr) return *options.kernels;
-  if (options.kernel_set.empty()) return reference_kernels();
-  if (options.kernel_set == "reference") return reference_kernels();
-  IDG_CHECK(g_kernel_set_resolver != nullptr,
-            "BackendOptions::kernel_set = '"
-                << options.kernel_set
-                << "' needs the kernel registry, which the idg_kernels "
-                   "library installs at load time; link idg_kernels (or "
-                   "pass BackendOptions::kernels directly)");
-  return g_kernel_set_resolver(options.kernel_set);
-}
 }  // namespace
-
-void set_kernel_set_resolver(KernelSetResolver resolver) {
-  g_kernel_set_resolver = resolver;
-}
-
-const KernelSet& resolve_kernel_set(const std::string& name) {
-  BackendOptions options;
-  options.kernel_set = name;
-  return resolve_kernels(options);
-}
 
 BackendOptions parse_backend_spec(const std::string& spec) {
   BackendOptions options;
@@ -84,7 +57,8 @@ BackendOptions parse_backend_spec(const std::string& spec) {
 
 std::unique_ptr<GridderBackend> make_backend(const BackendOptions& options,
                                              const Parameters& params) {
-  const KernelSet& kernels = resolve_kernels(options);
+  const KernelSet& kernels =
+      options.kernels != nullptr ? *options.kernels : reference_kernels();
   check_accumulation(kernels, params);
   const auto executor = canonical_executor(options.executor);
   if (!executor) throw_unknown_backend(options.executor);

@@ -210,39 +210,13 @@ struct BackendOptions {
   /// Kernel set the executors run; nullptr = the reference set. The
   /// reference set honours Parameters::accumulation, so an
   /// epsilon-configured Parameters keeps its accuracy contract with the
-  /// default. Callers linking the optimized kernel library can resolve
-  /// accuracy::preferred_kernel_set(params) for the tier's faster kernels.
-  /// make_backend() rejects a set that does not implement
-  /// params.accumulation (check_accumulation). Must outlive the returned
-  /// backend.
+  /// default. Callers linking the optimized kernel library can pass
+  /// &kernels::kernel_set(accuracy::preferred_kernel_set(params)) for the
+  /// tier's faster kernels. make_backend() rejects a set that does not
+  /// implement params.accumulation (check_accumulation). Must outlive the
+  /// returned backend.
   const KernelSet* kernels = nullptr;
-
-  /// Registry name of the kernel set to run ("tuned", "optimized",
-  /// "jit", ...), resolved at make_backend() time when `kernels`
-  /// is null; empty keeps the `kernels`/reference behaviour above.
-  /// "reference" always resolves; every other name needs the idg_kernels
-  /// library linked (it installs the registry resolver below at static
-  /// initialization) — without it make_backend() throws a named error.
-  std::string kernel_set;
 };
-
-/// Resolves a registry name to a kernel set (the signature of
-/// idg::kernels::kernel_set). The core library cannot link the kernel
-/// library (the dependency points the other way), so the registry installs
-/// itself through this hook.
-using KernelSetResolver = const KernelSet& (*)(const std::string&);
-
-/// Installs the registry resolver BackendOptions::kernel_set dispatches
-/// through. Called by idg_kernels at static initialization; tests may
-/// override. Passing nullptr uninstalls.
-void set_kernel_set_resolver(KernelSetResolver resolver);
-
-/// Resolves a registry name exactly like BackendOptions::kernel_set does:
-/// "" and "reference" always resolve to the reference set; any other name
-/// needs the idg_kernels resolver installed (throws a named error
-/// otherwise). Shard workers use this to reconstruct the coordinator's
-/// kernel selection from its wire-shipped name.
-const KernelSet& resolve_kernel_set(const std::string& name);
 
 /// Parses the string spelling of a backend selection into options:
 /// "synchronous" | "sync" | "processor" | "pipelined" | "async" |

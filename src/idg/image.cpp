@@ -64,16 +64,19 @@ void fft_image_to_grid(ArrayView<cfloat, 4> planes) {
                    fft::Direction::Forward);
 }
 
-namespace {
-Array3D<cfloat> make_dirty_image_with(const Array3D<cfloat>& grid,
-                                      double normalization,
-                                      const Array2D<float>& correction) {
-  IDG_CHECK(normalization > 0, "normalization must be positive");
+Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
+                                 std::uint64_t nr_visibilities,
+                                 const Parameters& params) {
+  IDG_CHECK(grid.dim(1) == params.grid_size,
+            "grid does not match Parameters::grid_size");
+  IDG_CHECK(nr_visibilities > 0, "normalization must be positive");
+  const Array2D<float> correction = make_taper_correction_for(params);
   const std::size_t n = grid.dim(1);
   Array3D<cfloat> image(kNrPolarizations, n, n);
   fft_grid_to_image(grid.cview(), image.view());
 
-  const float scale = static_cast<float>(1.0 / normalization);
+  const float scale =
+      static_cast<float>(1.0 / static_cast<double>(nr_visibilities));
 #pragma omp parallel for schedule(static)
   for (std::size_t p = 0; p < kNrPolarizations; ++p) {
     for (std::size_t y = 0; y < n; ++y) {
@@ -85,8 +88,11 @@ Array3D<cfloat> make_dirty_image_with(const Array3D<cfloat>& grid,
   return image;
 }
 
-Array3D<cfloat> model_image_to_grid_with(const Array3D<cfloat>& model_image,
-                                         const Array2D<float>& correction) {
+Array3D<cfloat> model_image_to_grid(const Array3D<cfloat>& model_image,
+                                    const Parameters& params) {
+  IDG_CHECK(model_image.dim(1) == params.grid_size,
+            "model image does not match Parameters::grid_size");
+  const Array2D<float> correction = make_taper_correction_for(params);
   const std::size_t n = model_image.dim(1);
   Array3D<cfloat> grid(kNrPolarizations, n, n);
   std::copy(model_image.begin(), model_image.end(), grid.begin());
@@ -101,46 +107,6 @@ Array3D<cfloat> model_image_to_grid_with(const Array3D<cfloat>& model_image,
   }
   fft_image_to_grid(grid.view());
   return grid;
-}
-}  // namespace
-
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 std::uint64_t nr_visibilities) {
-  return make_dirty_image(grid, static_cast<double>(nr_visibilities));
-}
-
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 double normalization) {
-  return make_dirty_image_with(grid, normalization,
-                               make_taper_correction(grid.dim(1)));
-}
-
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 std::uint64_t nr_visibilities,
-                                 const Parameters& params) {
-  return make_dirty_image(grid, static_cast<double>(nr_visibilities), params);
-}
-
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 double normalization,
-                                 const Parameters& params) {
-  IDG_CHECK(grid.dim(1) == params.grid_size,
-            "grid does not match Parameters::grid_size");
-  return make_dirty_image_with(grid, normalization,
-                               make_taper_correction_for(params));
-}
-
-Array3D<cfloat> model_image_to_grid(const Array3D<cfloat>& model_image) {
-  return model_image_to_grid_with(model_image,
-                                  make_taper_correction(model_image.dim(1)));
-}
-
-Array3D<cfloat> model_image_to_grid(const Array3D<cfloat>& model_image,
-                                    const Parameters& params) {
-  IDG_CHECK(model_image.dim(1) == params.grid_size,
-            "model image does not match Parameters::grid_size");
-  return model_image_to_grid_with(model_image,
-                                  make_taper_correction_for(params));
 }
 
 }  // namespace idg

@@ -8,10 +8,11 @@
 //   grid  = shift(Forward(shift(image)))
 //
 // The dirty image additionally divides by the number of gridded
-// visibilities (natural weighting) and by the image-plane taper evaluated
-// on the full-resolution raster (the "simple correction" of the NFFT);
-// model images are divided by the same taper *before* transforming to the
-// grid for degridding.
+// visibilities and by the image-plane taper evaluated on the
+// full-resolution raster (the "simple correction" of the NFFT); model
+// images are divided by the same taper *before* transforming to the grid
+// for degridding. Imaging weights and their normalisation belong to the
+// imager that calls IDG.
 #pragma once
 
 #include <cstdint>
@@ -39,27 +40,15 @@ void fft_image_to_grid(ArrayView<cfloat, 3> cube);
 void fft_image_to_grid(ArrayView<cfloat, 4> planes);
 
 /// Produces the taper-corrected dirty image from a gridded visibility cube:
-/// image = shift(IFFT(shift(grid))) / normalization / taper(l, m). The
-/// normalization is the visibility count (natural weighting) or the sum of
-/// imaging weights (idg/weighting.hpp).
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 double normalization);
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 std::uint64_t nr_visibilities);
-
-/// Parameter-aware variants: the correction raster matches the taper family
-/// the subgrids were tapered with (Parameters::taper — required whenever
-/// the epsilon contract selected the ES taper). The parameter-less
-/// overloads above keep the historical PSWF correction.
-Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
-                                 double normalization,
-                                 const Parameters& params);
+/// image = shift(IFFT(shift(grid))) / nr_visibilities / taper(l, m). The
+/// correction raster matches the taper family the subgrids were tapered
+/// with (Parameters::taper, which the epsilon contract may set to ES).
 Array3D<cfloat> make_dirty_image(const Array3D<cfloat>& grid,
                                  std::uint64_t nr_visibilities,
                                  const Parameters& params);
 
-/// Prepares a model grid for degridding: grid = FFT(model_image / taper).
-Array3D<cfloat> model_image_to_grid(const Array3D<cfloat>& model_image);
+/// Prepares a model grid for degridding: grid = FFT(model_image / taper),
+/// with the taper of `params` as above.
 Array3D<cfloat> model_image_to_grid(const Array3D<cfloat>& model_image,
                                     const Parameters& params);
 

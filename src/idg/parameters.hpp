@@ -110,6 +110,12 @@ inline constexpr double kSinglePrecisionFloor = 5e-3;
 inline constexpr double kPswfFloor = 1e-3;
 }  // namespace accuracy
 
+/// Largest accepted grid_size and adder_tile_size. A grid this size
+/// already holds 2^34 complex floats per plane (128 GiB). The cap keeps
+/// pixel coordinates, tile sizes and tile counts inside `int` and bounds
+/// the plan's tile histograms, whatever a decoded message claims.
+inline constexpr std::size_t kMaxGridSize = std::size_t{1} << 16;
+
 /// Static configuration of one gridding/degridding run.
 ///
 /// Geometry convention (DESIGN.md §6): the master grid has `grid_size`
@@ -221,6 +227,8 @@ struct Parameters {
       return std::optional<Error>(Error(oss.str()));
     };
     if (grid_size < 2) return fail("grid_size (", grid_size, ") must be >= 2");
+    if (grid_size > kMaxGridSize)
+      return fail("grid_size (", grid_size, ") must be <= ", kMaxGridSize);
     if (subgrid_size < 4)
       return fail("subgrid_size (", subgrid_size, ") must be >= 4");
     if (subgrid_size >= grid_size)
@@ -238,6 +246,9 @@ struct Parameters {
     if (aterm_interval <= 0)
       return fail("aterm_interval (", aterm_interval, ") must be positive");
     if (work_group_size == 0) return fail("work_group_size must be positive");
+    if (adder_tile_size > kMaxGridSize)
+      return fail("adder_tile_size (", adder_tile_size, ") must be <= ",
+                  kMaxGridSize);
     if (adder_tile_size < 8 || adder_tile_size % 8 != 0)
       return fail("adder_tile_size (", adder_tile_size,
                   ") must be a positive multiple of 8 (cache-line aligned "

@@ -69,13 +69,14 @@ TileBinning bin_items_by_tile(const Parameters& params,
   };
 
   // An out-of-grid patch would index past the tile histogram below, so it
-  // must be rejected here — hand-built items reach this path without going
-  // through Plan's own placement checks.
+  // must be rejected here — hand-built and decoded items reach this path
+  // without going through Plan's own placement checks. The bound is
+  // written as coord <= grid - n, which cannot overflow (n < grid).
+  const int last = static_cast<int>(params.grid_size) - n;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const WorkItem& item = items[i];
     IDG_CHECK(item.coord_x >= 0 && item.coord_y >= 0 &&
-                  item.coord_x + n <= static_cast<int>(params.grid_size) &&
-                  item.coord_y + n <= static_cast<int>(params.grid_size),
+                  item.coord_x <= last && item.coord_y <= last,
               "work item " << i << " subgrid patch at (" << item.coord_x
                            << ", " << item.coord_y << ") size " << n
                            << " lies outside the " << params.grid_size
@@ -326,8 +327,9 @@ void Plan::plan_baseline(std::size_t bl_index, const Array2D<UVW>& uvw,
 }
 
 std::size_t Plan::nr_work_groups() const {
-  return (items_.size() + params_.work_group_size - 1) /
-         params_.work_group_size;
+  // Ceiling division that cannot wrap, whatever work_group_size holds.
+  return items_.empty() ? 0
+                        : (items_.size() - 1) / params_.work_group_size + 1;
 }
 
 std::span<const WorkItem> Plan::work_group(std::size_t g) const {

@@ -248,14 +248,4 @@ std::vector<std::string> kernel_set_names() {
           "optimized-libm", "jit", "tuned"};
 }
 
-namespace {
-/// Installs the registry into the core library's resolver hook so
-/// BackendOptions::kernel_set = "<name>" works in every binary that links
-/// idg_kernels. Lives in this TU because every registry user pulls it in.
-[[maybe_unused]] const bool kResolverInstalled = [] {
-  set_kernel_set_resolver(&kernel_set);
-  return true;
-}();
-}  // namespace
-
 }  // namespace idg::kernels

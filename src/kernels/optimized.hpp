@@ -48,8 +48,7 @@ const KernelSet& jit_kernels();
 
 /// Lookup by name: "reference", "optimized", "optimized-lut",
 /// "optimized-libm", "jit" and "tuned". Throws idg::Error for unknown
-/// names. Linking this library also installs the registry as the core
-/// library's BackendOptions::kernel_set resolver.
+/// names.
 const KernelSet& kernel_set(const std::string& name);
 
 /// All registered kernel-set names, in registry order.

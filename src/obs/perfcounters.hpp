@@ -192,7 +192,7 @@ class ScopedCounters {
 
 /// MetricsSink decorator: forwards every record to the wrapped sink AND
 /// keeps its own per-stage HwCounters totals, so counter data survives
-/// even when the inner sink ignores record_hw (NullSink, StageTimesSink).
+/// even when the inner sink ignores record_hw (NullSink).
 /// Thread-safe like every bundled sink.
 class PerfMetricsSink final : public MetricsSink {
  public:

@@ -12,7 +12,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
 namespace idg::obs {
@@ -148,27 +147,6 @@ class AggregateSink : public MetricsSink {
  private:
   mutable std::mutex mutex_;
   MetricsSnapshot metrics_;
-};
-
-/// Adapter for the legacy `StageTimes` accumulator: forwards wall time into
-/// the wrapped StageTimes and drops everything else. The pipelines' old
-/// `StageTimes*` out-parameter overloads are gone (the deprecation cycle is
-/// complete); this adapter remains for callers that aggregate into a
-/// StageTimes themselves (e.g. clean/major_cycle's per-cycle totals).
-class StageTimesSink final : public MetricsSink {
- public:
-  explicit StageTimesSink(StageTimes& times) : times_(&times) {}
-
-  void record(std::string_view stage, double seconds,
-              std::uint64_t = 1) override {
-    std::lock_guard lock(mutex_);
-    times_->add(std::string(stage), seconds);
-  }
-  void record_ops(std::string_view, const OpCounts&) override {}
-
- private:
-  StageTimes* times_;
-  std::mutex mutex_;
 };
 
 }  // namespace idg::obs

@@ -1,10 +1,9 @@
 // RAII tracing spans.
 //
 // A `Span` measures the wall time of one scope and records it (plus one
-// invocation) into a MetricsSink on destruction — the obs replacement for
-// the old ScopedStageTimer. Spans are cheap enough to wrap one work-group
-// stage execution (one mutex acquisition per span on the bundled sinks);
-// they are NOT meant for per-visibility scopes.
+// invocation) into a MetricsSink on destruction. Spans are cheap enough to
+// wrap one work-group stage execution (one mutex acquisition per span on
+// the bundled sinks); they are NOT meant for per-visibility scopes.
 //
 // When a global TraceSink is installed (obs/trace.hpp), every span also
 // emits a timeline event on the calling thread's track, tagged with the

@@ -17,9 +17,7 @@ void put_string(CheckpointWriter& w, const std::string& s) {
 std::string get_string(CheckpointReader& r, const char* what) {
   std::uint64_t size = 0;
   r.read_pod(size, what);
-  IDG_CHECK(size <= r.remaining(),
-            "job message string length exceeds payload (" << what << ")");
-  std::string s(size, '\0');
+  std::string s(r.checked_count({&size, 1}, 1, what), '\0');
   r.read_array(s.data(), s.size(), what);
   return s;
 }
@@ -33,9 +31,8 @@ void put_image(CheckpointWriter& w, const Array3D<cfloat>& image) {
 Array3D<cfloat> get_image(CheckpointReader& r, const char* what) {
   std::uint64_t dims[3];
   for (auto& d : dims) r.read_pod(d, what);
+  r.checked_count(dims, sizeof(cfloat), what);
   Array3D<cfloat> image(dims[0], dims[1], dims[2]);
-  IDG_CHECK(image.bytes() <= r.remaining(),
-            "job message image exceeds payload (" << what << ")");
   r.read_array(image.data(), image.size(), what);
   return image;
 }
@@ -276,9 +273,8 @@ ResultMsg decode_result(std::string payload) {
   r.read_pod(msg.total_components, "result component count");
   std::uint64_t nr_peaks = 0;
   r.read_pod(nr_peaks, "result peak history length");
-  IDG_CHECK(nr_peaks * sizeof(float) <= r.remaining(),
-            "job result peak history exceeds payload");
-  msg.peak_history.resize(nr_peaks);
+  msg.peak_history.resize(r.checked_count({&nr_peaks, 1}, sizeof(float),
+                                          "result peak history"));
   r.read_array(msg.peak_history.data(), msg.peak_history.size(),
                "result peak history");
   msg.model_image = get_image(r, "result model image");

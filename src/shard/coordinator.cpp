@@ -22,6 +22,7 @@
 #include "common/error.hpp"
 #include "idg/accounting.hpp"
 #include "idg/processor.hpp"
+#include "kernels/optimized.hpp"
 #include "shard/planner.hpp"
 #include "shard/protocol.hpp"
 #include "shard/worker.hpp"
@@ -508,7 +509,7 @@ ShardedBackend::ShardedBackend(const Parameters& params, ShardConfig config)
             "max_attempts_per_shard must be at least 1");
   // The workers resolve the same name; reject a precision mismatch here,
   // before any of them is spawned.
-  check_accumulation(resolve_kernel_set(config_.kernel_set), params);
+  check_accumulation(kernels::kernel_set(config_.kernel_set), params);
 }
 
 ShardedBackend::~ShardedBackend() = default;

@@ -81,8 +81,8 @@ struct ShardConfig {
   /// Worker binary; "" = /proc/self/exe (the coordinator's own binary,
   /// which must dispatch shard::maybe_run_worker() first thing in main).
   std::string worker_path;
-  /// Kernel-set registry name shipped to workers ("" = reference).
-  std::string kernel_set;
+  /// Kernel-set registry name (kernels::kernel_set) shipped to workers.
+  std::string kernel_set = "reference";
 };
 
 /// What the coordinator did across the calls made so far (reset_report()

@@ -3,8 +3,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
@@ -102,9 +106,7 @@ void put_string(CheckpointWriter& w, const std::string& s) {
 std::string get_string(CheckpointReader& r, const char* what) {
   std::uint64_t size = 0;
   r.read_pod(size, what);
-  IDG_CHECK(size <= r.remaining(),
-            "shard message string length exceeds payload (" << what << ")");
-  std::string s(size, '\0');
+  std::string s(r.checked_count({&size, 1}, 1, what), '\0');
   r.read_array(s.data(), s.size(), what);
   return s;
 }
@@ -121,15 +123,12 @@ void put_array(CheckpointWriter& w, ArrayView<const T, Rank> view) {
 
 template <typename T, std::size_t Rank>
 Array<T, Rank> get_array(CheckpointReader& r, const char* what) {
+  std::array<std::uint64_t, Rank> extents{};
+  for (std::uint64_t& extent : extents) r.read_pod(extent, what);
+  r.checked_count(extents, sizeof(T), what);
   std::array<std::size_t, Rank> dims{};
-  for (std::size_t d = 0; d < Rank; ++d) {
-    std::uint64_t dim = 0;
-    r.read_pod(dim, what);
-    dims[d] = dim;
-  }
+  std::copy(extents.begin(), extents.end(), dims.begin());
   Array<T, Rank> array(dims);
-  IDG_CHECK(array.bytes() <= r.remaining(),
-            "shard message array exceeds payload (" << what << ")");
   r.read_array(array.data(), array.size(), what);
   return array;
 }
@@ -156,20 +155,37 @@ void put_job_common(CheckpointWriter& w, const Plan& plan,
   w.write_pod(worker_retries);
 }
 
-JobCommon get_job_common(CheckpointReader& r) {
+/// Reads Parameters, which travel as their object bytes. The one bool among
+/// them, the engaged flag of `epsilon`, may hold only 0 or 1: reading any
+/// other byte as a bool is undefined, so the flag is checked before
+/// anything reads it. (libstdc++ and libc++ both store an optional's flag
+/// right after its value.)
+Parameters get_parameters(CheckpointReader& r) {
+  static_assert(std::is_standard_layout_v<Parameters> &&
+                sizeof(std::optional<double>) == 2 * sizeof(double));
+  constexpr std::size_t kEpsilonFlag =
+      offsetof(Parameters, epsilon) + sizeof(double);
+  unsigned char bytes[sizeof(Parameters)];
+  r.read_array(bytes, sizeof(bytes), "job parameters");
+  IDG_CHECK(bytes[kEpsilonFlag] <= 1,
+            "shard job parameters carry a corrupt epsilon flag ("
+                << static_cast<int>(bytes[kEpsilonFlag]) << ")");
   Parameters params;
-  r.read_pod(params, "job parameters");
+  std::memcpy(&params, bytes, sizeof(params));
+  return params;
+}
+
+JobCommon get_job_common(CheckpointReader& r) {
+  const Parameters params = get_parameters(r);
   std::uint64_t nr_items = 0;
   r.read_pod(nr_items, "job item count");
-  IDG_CHECK(nr_items * sizeof(WorkItem) <= r.remaining(),
-            "shard job item count exceeds payload");
-  std::vector<WorkItem> items(nr_items);
+  std::vector<WorkItem> items(
+      r.checked_count({&nr_items, 1}, sizeof(WorkItem), "job items"));
   r.read_array(items.data(), items.size(), "job items");
   std::uint64_t nr_wavenumbers = 0;
   r.read_pod(nr_wavenumbers, "job wavenumber count");
-  IDG_CHECK(nr_wavenumbers * sizeof(float) <= r.remaining(),
-            "shard job wavenumber count exceeds payload");
-  std::vector<float> wavenumbers(nr_wavenumbers);
+  std::vector<float> wavenumbers(
+      r.checked_count({&nr_wavenumbers, 1}, sizeof(float), "job wavenumbers"));
   r.read_array(wavenumbers.data(), wavenumbers.size(), "job wavenumbers");
   std::uint64_t planned = 0;
   std::uint64_t dropped = 0;
@@ -182,8 +198,8 @@ JobCommon get_job_common(CheckpointReader& r) {
   auto flags = get_array<std::uint8_t, 3>(r, "job flags");
   std::uint64_t nr_skip = 0;
   r.read_pod(nr_skip, "job skip mask size");
-  IDG_CHECK(nr_skip <= r.remaining(), "shard job skip mask exceeds payload");
-  std::vector<std::uint8_t> skip_groups(nr_skip);
+  std::vector<std::uint8_t> skip_groups(
+      r.checked_count({&nr_skip, 1}, 1, "job skip mask"));
   r.read_array(skip_groups.data(), skip_groups.size(), "job skip mask");
   std::string kernel_set = get_string(r, "job kernel set");
   std::uint32_t worker_retries = 0;

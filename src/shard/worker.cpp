@@ -19,6 +19,7 @@
 #include "idg/processor.hpp"
 #include "idg/scrub.hpp"
 #include "idg/supervisor.hpp"
+#include "kernels/optimized.hpp"
 #include "obs/sink.hpp"
 #include "shard/protocol.hpp"
 
@@ -66,7 +67,7 @@ class GridJobState {
   explicit GridJobState(GridJobMsg msg)
       : job_(std::move(msg)),
         proc_(job_.common.plan.parameters(),
-              resolve_kernel_set(job_.common.kernel_set)),
+              kernels::kernel_set(job_.common.kernel_set)),
         token_(job_.common.plan.parameters().deadline_ms),
         scope_(token_),
         scrubbed_(scrub_gridder_input(
@@ -161,7 +162,7 @@ class DegridJobState {
                    job_.common.plan.wavenumbers().size()) {
     auto proc = std::make_unique<Processor>(
         job_.common.plan.parameters(),
-        resolve_kernel_set(job_.common.kernel_set));
+        kernels::kernel_set(job_.common.kernel_set));
     if (job_.common.worker_retries > 0) {
       SupervisorConfig config;
       config.max_attempts_per_group = job_.common.worker_retries + 1;

@@ -395,7 +395,7 @@ TEST(AccuracyContractFlagged, AdjointnessHoldsUnderFlagPolicies) {
 // the single-precision family only where the float phase-error floor
 // already bounds the error (preview), and delegates to the reference
 // kernels under double-precision accumulation (standard/science). Prove
-// the DFT l2 contract with kernel_set="tuned" explicitly on all three
+// the DFT l2 contract with the "tuned" set explicitly on all three
 // tiers — whatever winner the process tuning database currently names.
 // Every registered kernel set, on every tier, either meets epsilon or is
 // rejected by name: a set that does not implement the tier's accumulation
@@ -410,7 +410,7 @@ TEST_P(KernelSetContract, DirtyImageMeetsEpsilonOrIsRejectedOnEveryTier) {
     const auto s = ContractSetup::make(epsilon);
     BackendOptions options;
     options.executor = "synchronous";
-    options.kernel_set = GetParam();
+    options.kernels = &kernels::kernel_set(GetParam());
     std::unique_ptr<GridderBackend> backend;
     try {
       backend = make_backend(options, s.params);

@@ -509,9 +509,9 @@ TEST(MajorCycleTest, RecoversTwoPointSources) {
   EXPECT_GT(result.total_components, 0);
 
   // Stage times must cover the full cycle (Fig 9's stages).
-  EXPECT_GT(result.times.get(stage::kGridder), 0.0);
-  EXPECT_GT(result.times.get(stage::kDegridder), 0.0);
-  EXPECT_GT(result.times.get(stage::kGridFft), 0.0);
+  EXPECT_GT(result.metrics.at(stage::kGridder).seconds, 0.0);
+  EXPECT_GT(result.metrics.at(stage::kDegridder).seconds, 0.0);
+  EXPECT_GT(result.metrics.at(stage::kGridFft).seconds, 0.0);
 }
 
 }  // namespace

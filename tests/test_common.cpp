@@ -1,11 +1,14 @@
 // Unit tests for the common substrate: types, arrays, allocator, counters,
-// reporting and CLI parsing.
+// reporting, image output and CLI parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 #include "common/cli.hpp"
 #include "common/counters.hpp"
 #include "common/error.hpp"
+#include "common/imageio.hpp"
 #include "common/report.hpp"
 #include "common/threadpool.hpp"
 #include "common/timer.hpp"
@@ -186,31 +190,11 @@ TEST(OpCountsTest, ZeroByteIntensityIsZero) {
 
 // --- timer ---------------------------------------------------------------------
 
-TEST(TimerTest, StageAccumulation) {
-  idg::StageTimes times;
-  times.add("gridder", 1.0);
-  times.add("gridder", 0.5);
-  times.add("adder", 0.25);
-  EXPECT_DOUBLE_EQ(times.get("gridder"), 1.5);
-  EXPECT_DOUBLE_EQ(times.get("adder"), 0.25);
-  EXPECT_DOUBLE_EQ(times.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(times.total(), 1.75);
-}
-
-TEST(TimerTest, MergeStageTimes) {
-  idg::StageTimes a, b;
-  a.add("x", 1.0);
-  b.add("x", 2.0);
-  b.add("y", 3.0);
-  a += b;
-  EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
-}
-
-TEST(TimerTest, ScopedTimerAddsNonNegativeTime) {
-  idg::StageTimes times;
-  { idg::ScopedStageTimer t(times, "scope"); }
-  EXPECT_GE(times.get("scope"), 0.0);
+TEST(TimerTest, SecondsAreMonotonic) {
+  idg::Timer timer;
+  const double first = timer.seconds();
+  EXPECT_GE(first, 0.0);
+  EXPECT_GE(timer.seconds(), first);
 }
 
 // --- report --------------------------------------------------------------------
@@ -250,6 +234,66 @@ TEST(ReportTest, AsciiBar) {
   EXPECT_EQ(idg::ascii_bar(0.0, 4), "....");
   EXPECT_EQ(idg::ascii_bar(0.5, 4), "##..");
   EXPECT_EQ(idg::ascii_bar(2.0, 4), "####");  // clamped
+}
+
+// --- image I/O -----------------------------------------------------------------
+
+TEST(ImageIoTest, StokesIPlaneExtraction) {
+  idg::Array3D<cfloat> cube(4, 4, 4);
+  cube(0, 1, 2) = {3.0f, 1.0f};
+  cube(3, 1, 2) = {1.0f, -1.0f};
+  auto plane = idg::stokes_i_plane(cube);
+  EXPECT_FLOAT_EQ(plane(1, 2), 2.0f);
+  EXPECT_FLOAT_EQ(plane(0, 0), 0.0f);
+}
+
+TEST(ImageIoTest, PgmRoundtripHeader) {
+  idg::Array2D<float> plane(16, 24);
+  for (std::size_t y = 0; y < 16; ++y)
+    for (std::size_t x = 0; x < 24; ++x)
+      plane(y, x) = static_cast<float>(x + y);
+  const std::string path = ::testing::TempDir() + "idg_test_image.pgm";
+  idg::write_pgm(path, plane);
+  auto header = idg::read_pgm_header(path);
+  EXPECT_EQ(header.width, 24u);
+  EXPECT_EQ(header.height, 16u);
+  EXPECT_EQ(header.maxval, 255);
+  // File size: header + w*h payload bytes.
+  EXPECT_GE(std::filesystem::file_size(path), 24u * 16u);
+  std::remove(path.c_str());
+}
+
+TEST(ImageIoTest, PgmConstantImageDoesNotDivideByZero) {
+  idg::Array2D<float> plane(4, 4);
+  plane.fill(7.0f);
+  const std::string path = ::testing::TempDir() + "idg_test_flat.pgm";
+  idg::write_pgm(path, plane);
+  EXPECT_EQ(idg::read_pgm_header(path).width, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(ImageIoTest, CsvContainsAllRows) {
+  idg::Array2D<float> plane(3, 2);
+  plane(2, 1) = 5.5f;
+  const std::string path = ::testing::TempDir() + "idg_test_plane.csv";
+  idg::write_plane_csv(path, plane);
+  std::ifstream in(path);
+  std::string line;
+  int rows = 0;
+  std::string last;
+  while (std::getline(in, line)) {
+    ++rows;
+    last = line;
+  }
+  EXPECT_EQ(rows, 3);
+  EXPECT_NE(last.find("5.5"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ImageIoTest, BadPathThrows) {
+  idg::Array2D<float> plane(2, 2);
+  EXPECT_THROW(idg::write_pgm("/nonexistent-dir/x.pgm", plane), Error);
+  EXPECT_THROW(idg::read_pgm_header("/nonexistent-dir/x.pgm"), Error);
 }
 
 // --- cli -----------------------------------------------------------------------

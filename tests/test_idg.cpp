@@ -7,6 +7,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <random>
 
 #include "idg/accounting.hpp"
@@ -190,14 +191,24 @@ TEST(PlanTest, RespectsMaxTimestepsAndATermSlots) {
 
 TEST(PlanTest, WorkGroupsPartitionItems) {
   auto s = Setup::make(8, 64, 8, 256, 24, 8);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < s.plan.nr_work_groups(); ++g) {
-    auto group = s.plan.work_group(g);
-    EXPECT_LE(group.size(), s.params.work_group_size);
-    EXPECT_GT(group.size(), 0u);
-    total += group.size();
+  // The largest size, where a ceiling division by addition would wrap to
+  // zero groups, must give one group of every item.
+  for (const std::size_t size : {s.params.work_group_size, std::size_t{7},
+                                 std::numeric_limits<std::size_t>::max()}) {
+    Parameters params = s.params;
+    params.work_group_size = size;
+    const Plan plan = Plan::from_parts(
+        params, s.plan.items(), s.plan.wavenumbers(),
+        s.plan.nr_planned_visibilities(), s.plan.nr_dropped_visibilities());
+    std::size_t total = 0;
+    for (std::size_t g = 0; g < plan.nr_work_groups(); ++g) {
+      auto group = plan.work_group(g);
+      EXPECT_LE(group.size(), size);
+      EXPECT_GT(group.size(), 0u);
+      total += group.size();
+    }
+    EXPECT_EQ(total, plan.nr_subgrids()) << "work_group_size " << size;
   }
-  EXPECT_EQ(total, s.plan.nr_subgrids());
 }
 
 TEST(PlanTest, WavenumbersMatchFrequencies) {
@@ -366,7 +377,7 @@ TEST(AccuracyTest, DegriddingMatchesDirectPrediction) {
   // Model image -> model grid -> degrid.
   auto model = sim::render_sky_image(sky, s.params.grid_size,
                                      s.params.image_size);
-  auto grid = model_image_to_grid(model);
+  auto grid = model_image_to_grid(model, s.params);
 
   Processor proc(s.params);
   Array3D<Visibility> predicted(s.ds.nr_baselines(), s.ds.nr_timesteps(),
@@ -395,7 +406,8 @@ TEST(AccuracyTest, GriddingRecoversPointSource) {
   Array3D<cfloat> grid(4, s.params.grid_size, s.params.grid_size);
   proc.grid_visibilities(s.plan, s.ds.uvw.cview(), vis.cview(),
                          s.aterms.cview(), grid.view());
-  auto image = make_dirty_image(grid, s.plan.nr_planned_visibilities());
+  auto image = make_dirty_image(grid, s.plan.nr_planned_visibilities(),
+                                s.params);
 
   const std::size_t cx = s.params.grid_size / 2 + px;
   const std::size_t cy = s.params.grid_size / 2 + py;
@@ -430,7 +442,7 @@ TEST(AccuracyTest, WTermCorrectionMatters) {
                                             s.ds.obs);
   auto model = sim::render_sky_image(sky, s.params.grid_size,
                                      s.params.image_size);
-  auto grid = model_image_to_grid(model);
+  auto grid = model_image_to_grid(model, s.params);
 
   Processor proc(s.params);
   Array3D<Visibility> predicted(s.ds.nr_baselines(), s.ds.nr_timesteps(),
@@ -482,7 +494,8 @@ TEST(AccuracyTest, ATermCorrectionRecoversCorruptedVisibilities) {
   Array3D<cfloat> grid(4, grid_size, grid_size);
   proc.grid_visibilities(s.plan, s.ds.uvw.cview(), corrupted.cview(),
                          screens.cview(), grid.view());
-  auto image = make_dirty_image(grid, s.plan.nr_planned_visibilities());
+  auto image = make_dirty_image(grid, s.plan.nr_planned_visibilities(),
+                                s.params);
 
   const std::size_t cx = grid_size / 2 + 16;
   const std::size_t cy = grid_size / 2 + 12;
@@ -493,7 +506,8 @@ TEST(AccuracyTest, ATermCorrectionRecoversCorruptedVisibilities) {
   Array3D<cfloat> grid2(4, grid_size, grid_size);
   proc.grid_visibilities(s.plan, s.ds.uvw.cview(), corrupted.cview(),
                          s.aterms.cview(), grid2.view());
-  auto image2 = make_dirty_image(grid2, s.plan.nr_planned_visibilities());
+  auto image2 = make_dirty_image(grid2, s.plan.nr_planned_visibilities(),
+                                 s.params);
   EXPECT_LT(image2(0, cy, cx).real(), image(0, cy, cx).real() - 0.05f);
 }
 
@@ -506,7 +520,7 @@ TEST(RoundtripTest, DegridThenGridPreservesPointSourceImage) {
                                         static_cast<float>(6 * dl), 1.0f}};
   auto model = sim::render_sky_image(sky, s.params.grid_size,
                                      s.params.image_size);
-  auto grid = model_image_to_grid(model);
+  auto grid = model_image_to_grid(model, s.params);
 
   Processor proc(s.params);
   Array3D<Visibility> vis(s.ds.nr_baselines(), s.ds.nr_timesteps(),
@@ -517,7 +531,8 @@ TEST(RoundtripTest, DegridThenGridPreservesPointSourceImage) {
   Array3D<cfloat> regrid(4, s.params.grid_size, s.params.grid_size);
   proc.grid_visibilities(s.plan, s.ds.uvw.cview(), vis.cview(),
                          s.aterms.cview(), regrid.view());
-  auto image = make_dirty_image(regrid, s.plan.nr_planned_visibilities());
+  auto image = make_dirty_image(regrid, s.plan.nr_planned_visibilities(),
+                                s.params);
 
   const std::size_t cx = s.params.grid_size / 2 + 10;
   const std::size_t cy = s.params.grid_size / 2 + 6;

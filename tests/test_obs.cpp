@@ -30,7 +30,6 @@
 #include "obs/export.hpp"
 #include "obs/histogram.hpp"
 #include "obs/perfcounters.hpp"
-#include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -128,52 +127,6 @@ TEST(SpanTest, StopIsIdempotent) {
     span.stop();  // second stop and the destructor must both be no-ops
   }
   EXPECT_EQ(sink.snapshot().at("work").invocations, 1u);
-}
-
-// --- StageTimesSink adapter ----------------------------------------------------
-
-TEST(StageTimesSinkTest, ForwardsSecondsIntoStageTimes) {
-  StageTimes times;
-  obs::StageTimesSink adapter(times);
-  adapter.record("gridder", 0.75);
-  adapter.record("gridder", 0.25);
-  OpCounts ops;
-  ops.fma = 1;
-  adapter.record_ops("gridder", ops);  // dropped by design
-  EXPECT_DOUBLE_EQ(times.get("gridder"), 1.0);
-}
-
-// --- Registry -----------------------------------------------------------------
-
-TEST(RegistryTest, NamedSinksAreProcessWideAndThreadSafe) {
-  obs::AggregateSink& sink = obs::Registry::instance().sink("test-registry");
-  sink.clear();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([] {
-      // Same name from any thread resolves to the same sink.
-      obs::Registry::instance().sink("test-registry").record("s", 1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sink.snapshot().at("s").invocations, 4u);
-  EXPECT_DOUBLE_EQ(sink.seconds("s"), 4.0);
-
-  const auto names = obs::Registry::instance().names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test-registry"),
-            names.end());
-  sink.clear();
-}
-
-TEST(RegistryTest, CombinedSnapshotMergesAllSinks) {
-  obs::Registry::instance().sink("combine-a").clear();
-  obs::Registry::instance().sink("combine-b").clear();
-  obs::Registry::instance().sink("combine-a").record("shared", 1.0);
-  obs::Registry::instance().sink("combine-b").record("shared", 2.0);
-  const auto combined = obs::Registry::instance().combined_snapshot();
-  EXPECT_DOUBLE_EQ(combined.at("shared").seconds, 3.0);
-  obs::Registry::instance().sink("combine-a").clear();
-  obs::Registry::instance().sink("combine-b").clear();
 }
 
 // --- LatencyHistogram ----------------------------------------------------------
@@ -1133,6 +1086,12 @@ TEST(ParametersTest, EveryInconsistencyIsCaught) {
   EXPECT_TRUE(error_of([](Parameters& p) { p.work_group_size = 0; }));
   EXPECT_TRUE(error_of([](Parameters& p) { p.adder_tile_size = 0; }));
   EXPECT_TRUE(error_of([](Parameters& p) { p.adder_tile_size = 12; }));
+  // Sizes whose int casts wrap: a 2^32 tile casts to 0 and would divide
+  // by zero in the tile binning.
+  EXPECT_TRUE(
+      error_of([](Parameters& p) { p.adder_tile_size = std::size_t{1} << 32; }));
+  EXPECT_TRUE(
+      error_of([](Parameters& p) { p.grid_size = kMaxGridSize + 64; }));
 }
 
 TEST(ParametersTest, ProcessorRejectsBadParametersAtConstruction) {

@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "mutate.hpp"
 #include "server/client.hpp"
 #include "server/job.hpp"
 #include "server/protocol.hpp"
@@ -177,6 +179,63 @@ TEST(JobProtocolTest, ResultRoundTripsImagesExactly) {
                         msg.residual_image.data(),
                         msg.residual_image.bytes()),
             0);
+}
+
+/// A result payload laid out like encode_result's, with the model image's
+/// extents and peak count as given and no pixel or peak data behind them.
+std::string forged_result(std::uint64_t nr_peaks,
+                          const std::uint64_t (&model_dims)[3]) {
+  CheckpointWriter w;
+  w.write_pod(std::uint64_t{3});   // job
+  w.write_pod(std::uint32_t{17});  // total components
+  w.write_pod(nr_peaks);
+  for (const std::uint64_t d : model_dims) w.write_pod(d);
+  for (int d = 0; d < 3; ++d) w.write_pod(std::uint64_t{0});  // residual
+  return w.take_payload();
+}
+
+TEST(JobProtocolTest, ImageExtentsThatWrapAreRejectedByName) {
+  // 2^32 * 2^32 * 1 wraps to 0 in 64 bits: without an overflow check the
+  // frame decodes into an image whose storage holds no pixel at all.
+  const std::uint64_t wrap = std::uint64_t{1} << 32;
+  EXPECT_THROW(decode_result(forged_result(0, {wrap, wrap, 1})), Error);
+}
+
+TEST(JobProtocolTest, SizesBeyondThePayloadAreNamedErrorsNotBadAlloc) {
+  // An extent of 2^40 pixels, and 2^62 + 1 peaks (whose byte count wraps
+  // to 4), must fail by name before anything is allocated for them.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  EXPECT_THROW(decode_result(forged_result(0, {huge, 1, 1})), Error);
+  EXPECT_THROW(
+      decode_result(forged_result((std::uint64_t{1} << 62) + 1, {0, 0, 0})),
+      Error);
+}
+
+TEST(JobProtocolTest, MutatedResultsDecodeOrFailByName) {
+  // decode_result sees a payload after read_message has checked its CRC,
+  // so a mutated payload is a mutated frame with its CRC recomputed.
+  ResultMsg msg;
+  msg.job = 9;
+  msg.total_components = 40;
+  msg.peak_history = {2.0f, 0.5f, 0.125f};
+  msg.model_image = Array3D<cfloat>(4, 16, 16);
+  msg.residual_image = Array3D<cfloat>(4, 16, 16);
+  msg.model_image.fill(cfloat(0.25f, 0.0f));
+  const std::string payload = encode_result(msg);
+
+  test::Mutator mutator(20261019);
+  int decoded = 0;
+  for (int round = 0; round < 2000; ++round) {
+    decoded += test::decodes([&] {
+      const ResultMsg back = decode_result(mutator.mutate(payload));
+      EXPECT_TRUE(test::consistent(back.model_image) &&
+                  test::consistent(back.residual_image))
+          << "round " << round;
+    });
+  }
+  // Both outcomes occur, or the mutations reach nothing.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 2000);
 }
 
 TEST(JobProtocolTest, TruncatedPayloadsFailByName) {

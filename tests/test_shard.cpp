@@ -23,12 +23,14 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -40,6 +42,7 @@
 #include "idg/processor.hpp"
 #include "idg/wplane.hpp"
 #include "kernels/optimized.hpp"
+#include "mutate.hpp"
 #include "obs/sink.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/planner.hpp"
@@ -288,6 +291,93 @@ TEST(ProtocolTest, GridJobRoundTripsPlanAndArraysBitExactly) {
   }
 }
 
+TEST(ProtocolTest, JobCountThatWrapsIsRejectedByName) {
+  // 2^62 work items of 52 bytes are 13 * 2^64 bytes, which wraps a 64-bit
+  // byte count to 0: the count must fail by name before it sizes a vector.
+  static_assert(sizeof(WorkItem) == 52);
+  const auto s = Setup::make();
+  std::string payload = shard::encode_grid_job(
+      s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(), s.ds.flag_view(),
+      s.aterms.cview(), {}, "reference", 0);
+  const std::uint64_t nr_items = std::uint64_t{1} << 62;
+  std::memcpy(payload.data() + sizeof(Parameters), &nr_items,
+              sizeof(nr_items));  // the item count follows the parameters
+  EXPECT_THROW((void)shard::decode_grid_job(payload), Error);
+}
+
+/// Grid and degrid job payloads of a small plan with epsilon set, so that
+/// every Parameters field is in use; small enough to mutate a thousand
+/// times under ASan.
+std::pair<std::string, std::string> small_job_payloads() {
+  sim::BenchmarkConfig cfg;
+  cfg.nr_stations = 4;
+  cfg.nr_timesteps = 8;
+  cfg.nr_channels = 2;
+  cfg.grid_size = 64;
+  cfg.subgrid_size = 8;
+  const auto ds = sim::make_benchmark_dataset(cfg);
+  Parameters params;
+  params.grid_size = cfg.grid_size;
+  params.subgrid_size = cfg.subgrid_size;
+  params.image_size = ds.image_size;
+  params.nr_stations = cfg.nr_stations;
+  params.kernel_size = 4;
+  params.work_group_size = 4;
+  params.epsilon = 0.1;
+  const Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
+  EXPECT_GT(plan.nr_work_groups(), 1u);
+  const auto aterms =
+      sim::make_identity_aterms(1, cfg.nr_stations, cfg.subgrid_size);
+  const Array3D<cfloat> grid(kNrPolarizations, cfg.grid_size, cfg.grid_size);
+  const std::vector<std::uint8_t> skip(plan.nr_work_groups(), 0);
+  return {shard::encode_grid_job(plan, ds.uvw.cview(), ds.visibilities.cview(),
+                                 ds.flag_view(), aterms.cview(), skip,
+                                 "optimized", 1),
+          shard::encode_degrid_job(plan, ds.uvw.cview(), grid.cview(),
+                                   ds.flag_view(), aterms.cview(), skip,
+                                   "optimized", 1)};
+}
+
+TEST(ProtocolTest, CorruptEpsilonFlagIsRejectedByName) {
+  // Parameters travel as their object bytes. The engaged flag of
+  // `epsilon` is a bool, which may hold only 0 or 1.
+  std::string payload = small_job_payloads().first;
+  const std::size_t flag = offsetof(Parameters, epsilon) + sizeof(double);
+  ASSERT_EQ(payload[flag], 1);  // the payload carries epsilon = 0.1
+  EXPECT_NO_THROW((void)shard::decode_grid_job(payload));
+  payload[flag] = 2;
+  EXPECT_THROW((void)shard::decode_grid_job(payload), Error);
+}
+
+TEST(ProtocolTest, MutatedJobsDecodeOrFailByName) {
+  // decode_grid_job/decode_degrid_job see a payload after read_frame has
+  // checked its CRC, so a mutated payload is a mutated frame with its CRC
+  // recomputed.
+  const auto [grid_job, degrid_job] = small_job_payloads();
+  test::Mutator mutator(20261019);
+  const auto consistent = [](const shard::JobCommon& common) {
+    return test::consistent(common.uvw) && test::consistent(common.aterms) &&
+           test::consistent(common.flags);
+  };
+  int decoded = 0;
+  for (int round = 0; round < 1000; ++round) {
+    decoded += test::decodes([&] {
+      const auto job = shard::decode_grid_job(mutator.mutate(grid_job));
+      EXPECT_TRUE(consistent(job.common) &&
+                  test::consistent(job.visibilities))
+          << "round " << round;
+    });
+    decoded += test::decodes([&] {
+      const auto job = shard::decode_degrid_job(mutator.mutate(degrid_job));
+      EXPECT_TRUE(consistent(job.common) && test::consistent(job.grid))
+          << "round " << round;
+    });
+  }
+  // Both outcomes occur, or the mutations reach nothing.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 2000);
+}
+
 // --- 2. shard planner --------------------------------------------------------
 
 TEST(PlannerTest, ShardsPartitionEveryGroupContiguously) {
@@ -402,8 +492,8 @@ TEST(ShardedParityTest, KernelSetOfTheWrongPrecisionIsRejectedByName) {
 }
 
 TEST(ShardedParityTest, StandaloneWorkerBinaryRunsRegisteredKernelSets) {
-  // idg-shard-worker calls nothing else in the kernel library, yet its
-  // workers must resolve every registered set, not just "reference".
+  // Workers of the standalone idg-shard-worker binary resolve every
+  // registered set, not just "reference".
   const auto s = Setup::make();
   shard::ShardConfig own = config_for(2);
   own.kernel_set = "optimized";

@@ -2,10 +2,7 @@
 // sky models, A-term screens, and the direct (ground-truth) predictor.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include <cmath>
@@ -14,7 +11,6 @@
 
 #include "sim/aterm.hpp"
 #include "sim/dataset.hpp"
-#include "sim/dataset_io.hpp"
 #include "sim/layout.hpp"
 #include "sim/observation.hpp"
 #include "sim/predict.hpp"
@@ -415,210 +411,6 @@ TEST(DatasetTest, InvalidConfigThrows) {
   cfg.grid_size = 16;
   cfg.subgrid_size = 24;
   EXPECT_THROW(make_benchmark_dataset(cfg), Error);
-}
-
-// --- dataset serialization -------------------------------------------------------
-
-TEST(DatasetIoTest, SaveLoadRoundtripIsExact) {
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 6;
-  cfg.nr_timesteps = 16;
-  cfg.nr_channels = 4;
-  auto ds = make_benchmark_dataset(cfg);
-
-  const std::string path = "/tmp/idg_test_dataset.bin";
-  save_dataset(path, ds);
-  auto back = load_dataset(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(back.layout.size(), ds.layout.size());
-  EXPECT_EQ(back.baselines.size(), ds.baselines.size());
-  EXPECT_EQ(back.nr_timesteps(), ds.nr_timesteps());
-  EXPECT_EQ(back.nr_channels(), ds.nr_channels());
-  EXPECT_EQ(back.grid_size, ds.grid_size);
-  EXPECT_DOUBLE_EQ(back.image_size, ds.image_size);
-  EXPECT_DOUBLE_EQ(back.obs.start_frequency_hz, ds.obs.start_frequency_hz);
-  for (std::size_t s = 0; s < ds.layout.size(); ++s) {
-    EXPECT_DOUBLE_EQ(back.layout[s].east, ds.layout[s].east);
-    EXPECT_DOUBLE_EQ(back.layout[s].north, ds.layout[s].north);
-  }
-  for (std::size_t b = 0; b < ds.baselines.size(); ++b) {
-    EXPECT_EQ(back.baselines[b], ds.baselines[b]);
-  }
-  for (std::size_t i = 0; i < ds.uvw.size(); ++i) {
-    EXPECT_EQ(back.uvw.data()[i], ds.uvw.data()[i]);
-  }
-  for (std::size_t i = 0; i < ds.visibilities.size(); ++i) {
-    for (int p = 0; p < kNrPolarizations; ++p) {
-      EXPECT_EQ(back.visibilities.data()[i][p], ds.visibilities.data()[i][p]);
-    }
-  }
-}
-
-TEST(DatasetIoTest, RejectsWrongMagic) {
-  const std::string path = "/tmp/idg_test_notadataset.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTMAGIC and then some garbage bytes";
-  }
-  EXPECT_THROW(load_dataset(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, RejectsTruncatedFile) {
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 4;
-  cfg.nr_timesteps = 8;
-  auto ds = make_benchmark_dataset(cfg);
-  const std::string path = "/tmp/idg_test_trunc.bin";
-  save_dataset(path, ds);
-  // Truncate to half.
-  const auto full = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full / 2);
-  EXPECT_THROW(load_dataset(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, MissingFileThrows) {
-  EXPECT_THROW(load_dataset("/nonexistent/nope.bin"), Error);
-}
-
-
-// --- corrupted / hostile dataset files (PR 4 hardening) ---------------------
-
-namespace {
-// Writes a syntactically valid v1 header with the given counts, then
-// `payload_bytes` of zeros. Used to forge corrupted fixtures.
-void write_forged_header(const std::string& path, std::uint64_t stations,
-                         std::uint64_t baselines, std::uint64_t timesteps,
-                         std::uint64_t channels, std::uint64_t grid,
-                         std::size_t payload_bytes = 0) {
-  std::ofstream out(path, std::ios::binary);
-  out.write("IDGDATA1", 8);
-  const std::uint64_t header[5] = {stations, baselines, timesteps, channels,
-                                   grid};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  const double obs[7] = {0.01, -0.5, 0.9, 0.0, 1.0, 100e6, 1e6};
-  out.write(reinterpret_cast<const char*>(obs), sizeof(obs));
-  const std::vector<char> zeros(payload_bytes, 0);
-  out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-}
-}  // namespace
-
-TEST(DatasetIoTest, RejectsOversizedHeaderCountsWithoutAllocating) {
-  // A hostile header claiming ~10^15 visibilities must fail with a
-  // descriptive idg::Error (sanity cap), not std::bad_alloc.
-  const std::string path = "/tmp/idg_test_oversized.bin";
-  write_forged_header(path, 60000, 1000000000ull, 1000000, 100, 1024);
-  try {
-    load_dataset(path);
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("sanity cap"), std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, RejectsDimensionOverflow) {
-  // Counts whose product wraps uint64 must be caught by the checked
-  // multiply (each factor is under its individual cap).
-  const std::string path = "/tmp/idg_test_overflow.bin";
-  write_forged_header(path, 60000, 1ull << 30, 1ull << 24, 1ull << 16, 1024);
-  EXPECT_THROW(load_dataset(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, RejectsTrailingGarbage) {
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 4;
-  cfg.nr_timesteps = 8;
-  auto ds = make_benchmark_dataset(cfg);
-  const std::string path = "/tmp/idg_test_trailing.bin";
-  save_dataset(path, ds);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "extra bytes the header does not account for";
-  }
-  try {
-    load_dataset(path);
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, RejectsBaselineCountAboveStationPairs) {
-  const std::string path = "/tmp/idg_test_badbl.bin";
-  write_forged_header(path, 4, 100, 8, 2, 64);
-  EXPECT_THROW(load_dataset(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, TruncationErrorNamesTheSection) {
-  // Truncating inside the uvw block must say so, not just "bad file".
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 4;
-  cfg.nr_timesteps = 8;
-  auto ds = make_benchmark_dataset(cfg);
-  const std::string path = "/tmp/idg_test_trunc_section.bin";
-  save_dataset(path, ds);
-  const std::size_t header_bytes =
-      8 + 5 * 8 + 7 * 8 + ds.layout.size() * 16 + ds.baselines.size() * 8;
-  std::filesystem::resize_file(path, header_bytes + 4);
-  try {
-    load_dataset(path);
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("uvw"), std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIoTest, FlagMaskRoundtripsThroughV2) {
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 5;
-  cfg.nr_timesteps = 12;
-  cfg.nr_channels = 3;
-  auto ds = make_benchmark_dataset(cfg);
-  const std::uint64_t flagged = apply_rfi_flags(ds, 0.25, 7);
-  EXPECT_GT(flagged, 0u);
-  EXPECT_LT(flagged, ds.nr_visibilities());
-
-  const std::string path = "/tmp/idg_test_flags_v2.bin";
-  save_dataset(path, ds);
-  {
-    std::ifstream in(path, std::ios::binary);
-    char magic[8];
-    in.read(magic, 8);
-    EXPECT_EQ(std::string(magic, 8), "IDGDATA2");
-  }
-  auto back = load_dataset(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(back.flags.size(), ds.flags.size());
-  for (std::size_t i = 0; i < ds.flags.size(); ++i) {
-    EXPECT_EQ(back.flags.data()[i], ds.flags.data()[i]);
-  }
-}
-
-TEST(DatasetIoTest, FlagFreeDatasetStillWritesV1) {
-  BenchmarkConfig cfg;
-  cfg.nr_stations = 4;
-  cfg.nr_timesteps = 4;
-  auto ds = make_benchmark_dataset(cfg);
-  const std::string path = "/tmp/idg_test_v1.bin";
-  save_dataset(path, ds);
-  std::ifstream in(path, std::ios::binary);
-  char magic[8];
-  in.read(magic, 8);
-  EXPECT_EQ(std::string(magic, 8), "IDGDATA1");
-  in.close();
-  auto back = load_dataset(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(back.flags.size(), 0u);
 }
 
 TEST(DatasetTest, ApplyRfiFlagsIsDeterministicAndSeedDependent) {

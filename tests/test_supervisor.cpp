@@ -33,6 +33,7 @@
 #include "idg/parameters.hpp"
 #include "idg/plan.hpp"
 #include "idg/supervisor.hpp"
+#include "mutate.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
 #include "sim/aterm.hpp"
@@ -551,6 +552,56 @@ TEST(CheckpointTest, RejectsPayloadWithTrailingBytes) {
   writer.write_pod(std::uint32_t{0xdeadbeef});  // the stowaway
   writer.commit(path, clean::kCheckpointMagic);
   expect_load_fails_with(path, "trailing bytes");
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, ImageExtentsThatWrapAreRejectedByName) {
+  // A CRC-valid file whose images claim 4 x 2^31 x 2^31 pixels: the product
+  // wraps to 0 in 64 bits, so without an overflow check the file loads as
+  // images whose storage holds no pixel at all.
+  const std::string path = testing::TempDir() + "idg_wrap.ckpt";
+  CheckpointWriter writer;
+  writer.write_pod(std::int32_t{1});   // cycles done
+  writer.write_pod(std::int32_t{0});   // total components
+  writer.write_pod(std::uint64_t{0});  // peak history length
+  for (const std::uint64_t d : {std::uint64_t{4}, std::uint64_t{1} << 31,
+                                std::uint64_t{1} << 31})
+    writer.write_pod(d);  // image dimensions
+  for (int d = 0; d < 3; ++d) writer.write_pod(std::uint64_t{0});
+  writer.commit(path, clean::kCheckpointMagic);
+  expect_load_fails_with(path, "truncated");
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, MutatedFilesLoadOrFailByName) {
+  // Mutate the payload and write it back with a recomputed CRC, so every
+  // mutation reaches the decoder instead of the CRC check.
+  const std::string path = testing::TempDir() + "idg_mutated.ckpt";
+  clean::save_checkpoint(path, tiny_checkpoint());
+  const std::string file = read_file(path);
+  constexpr std::size_t kMagic = 8;
+  const std::string payload =
+      file.substr(kMagic, file.size() - kMagic - sizeof(std::uint32_t));
+
+  test::Mutator mutator(20261019);
+  int loaded = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const std::string mutated = mutator.mutate(payload);
+    const std::uint32_t crc = crc32(mutated.data(), mutated.size());
+    write_file(path, file.substr(0, kMagic) + mutated +
+                         std::string(reinterpret_cast<const char*>(&crc),
+                                     sizeof(crc)));
+    loaded += test::decodes([&] {
+      const auto ckpt = clean::load_checkpoint(path);
+      EXPECT_TRUE(test::consistent(ckpt.model_image) &&
+                  test::consistent(ckpt.residual_image) &&
+                  test::consistent(ckpt.residual_vis))
+          << "round " << round;
+    });
+  }
+  // Both outcomes occur, or the mutations reach nothing.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, 1000);
   std::remove(path.c_str());
 }
 

@@ -122,6 +122,9 @@ TEST(WKernelTest, InvalidConfigThrows) {
 struct WprojFixture {
   sim::Dataset ds;
   WprojParameters params;
+  /// The grid's image transforms: W-projection shares IDG's PSWF taper
+  /// correction (the Parameters default).
+  Parameters image_params;
 
   static WprojFixture make(std::size_t support) {
     sim::BenchmarkConfig cfg;
@@ -144,7 +147,10 @@ struct WprojFixture {
     params.kernel.oversampling = 8;
     params.kernel.nr_w_planes = 31;
     params.kernel.w_max = w_max * 1.01;
-    return {std::move(ds), params};
+    Parameters image_params;
+    image_params.grid_size = params.grid_size;
+    image_params.image_size = params.image_size;
+    return {std::move(ds), params, image_params};
   }
 };
 
@@ -161,7 +167,7 @@ TEST(WprojAccuracyTest, DegriddingMatchesDirectPrediction) {
 
   auto model =
       sim::render_sky_image(sky, f.params.grid_size, f.params.image_size);
-  auto grid = model_image_to_grid(model);
+  auto grid = model_image_to_grid(model, f.image_params);
 
   WprojGridder gridder(f.params);
   Array3D<Visibility> predicted(f.ds.nr_baselines(), f.ds.nr_timesteps(),
@@ -190,7 +196,7 @@ TEST(WprojAccuracyTest, GriddingRecoversPointSource) {
                             grid.view());
   EXPECT_EQ(gridder.nr_skipped(), 0u);
 
-  auto image = make_dirty_image(grid, f.ds.nr_visibilities());
+  auto image = make_dirty_image(grid, f.ds.nr_visibilities(), f.image_params);
   const std::size_t cx = f.params.grid_size / 2 + px;
   const std::size_t cy = f.params.grid_size / 2 + py;
   EXPECT_NEAR(image(0, cy, cx).real(), 2.0f, 0.1f);
@@ -209,7 +215,7 @@ TEST(WprojAccuracyTest, SmallSupportDegradesAccuracy) {
         sim::predict_visibilities(sky, f.ds.uvw, f.ds.baselines, f.ds.obs);
     auto model =
         sim::render_sky_image(sky, f.params.grid_size, f.params.image_size);
-    auto grid = model_image_to_grid(model);
+    auto grid = model_image_to_grid(model, f.image_params);
     WprojGridder gridder(f.params);
     Array3D<Visibility> predicted(f.ds.nr_baselines(), f.ds.nr_timesteps(),
                                   f.ds.nr_channels());
@@ -238,7 +244,8 @@ TEST(WprojVsIdgTest, DirtyImagesAgree) {
   Array3D<cfloat> grid_w(4, f.params.grid_size, f.params.grid_size);
   wpg.grid_visibilities(f.ds.uvw.cview(), vis.cview(), f.ds.frequencies,
                         grid_w.view());
-  auto image_w = make_dirty_image(grid_w, f.ds.nr_visibilities());
+  auto image_w =
+      make_dirty_image(grid_w, f.ds.nr_visibilities(), f.image_params);
 
   // IDG image of the same data.
   Parameters ip;
@@ -253,7 +260,8 @@ TEST(WprojVsIdgTest, DirtyImagesAgree) {
   Array3D<cfloat> grid_i(4, ip.grid_size, ip.grid_size);
   proc.grid_visibilities(plan, f.ds.uvw.cview(), vis.cview(), aterms.cview(),
                          grid_i.view());
-  auto image_i = make_dirty_image(grid_i, plan.nr_planned_visibilities());
+  auto image_i =
+      make_dirty_image(grid_i, plan.nr_planned_visibilities(), ip);
 
   const std::size_t cx = f.params.grid_size / 2 + 12;
   const std::size_t cy = f.params.grid_size / 2 - 7;
