@@ -10,10 +10,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,12 +63,23 @@ void handle_sigterm(int) { request_drain(); }
 struct WorkerProc {
   pid_t pid = -1;
   int fd = -1;
-  bool ready = false;       ///< kJobReady received: may take assignments
-  std::int64_t shard = -1;  ///< in-flight shard id, -1 = idle
+  std::uint64_t context = 0;  ///< generation of the context it holds, 0: none
+  std::uint64_t call = 0;     ///< id of the call whose frame it holds, 0: none
+  std::int64_t shard = -1;    ///< in-flight shard id, -1 = idle
   Clock::time_point last_heard;
 
   bool live() const { return fd >= 0; }
 };
+
+/// Reaps `pid` without blocking: true once it is gone (reaped now, or no
+/// longer our child).
+bool try_reap(pid_t pid) {
+  int status = 0;
+  pid_t r = 0;
+  while ((r = ::waitpid(pid, &status, WNOHANG)) < 0 && errno == EINTR) {
+  }
+  return r != 0;
+}
 
 void kill_and_reap(WorkerProc& w) {
   if (w.pid > 0) {
@@ -79,15 +93,48 @@ void kill_and_reap(WorkerProc& w) {
     ::close(w.fd);
     w.fd = -1;
   }
-  w.ready = false;
+  w.context = 0;
+  w.call = 0;
+  w.shard = -1;
+}
+
+/// The environment a worker starts with: the coordinator's, plus
+/// OMP_WAIT_POLICY=passive unless the caller chose a policy. A pool worker
+/// idles between calls, and libgomp's default lets its threads spin after
+/// their last parallel region, on cores the coordinator needs.
+std::vector<std::string> worker_environment() {
+  std::vector<std::string> env;
+  bool has_policy = false;
+  for (char** var = environ; *var != nullptr; ++var) {
+    env.emplace_back(*var);
+    has_policy = has_policy || env.back().starts_with("OMP_WAIT_POLICY=");
+  }
+  if (!has_policy) env.emplace_back("OMP_WAIT_POLICY=passive");
+  return env;
 }
 
 WorkerProc spawn_worker(const ShardConfig& config) {
   int sv[2];
   IDG_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
             "socketpair failed: " << std::strerror(errno));
-  const std::string path =
+  // A 262 KB subgrid result must not wait for a busy coordinator to drain
+  // the default 208 KB send buffer. The kernel caps the size at
+  // net.core.wmem_max; only speed depends on it.
+  const int sndbuf = 1 << 20;
+  for (const int fd : sv) {
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  }
+  // Everything exec needs is built before fork: the child may only make
+  // async-signal-safe calls (the parent may hold arbitrary locks — OpenMP,
+  // malloc — at fork time).
+  std::string path =
       config.worker_path.empty() ? "/proc/self/exe" : config.worker_path;
+  std::string flag = kWorkerFlag;
+  char* argv[] = {path.data(), flag.data(), nullptr};
+  std::vector<std::string> env = worker_environment();
+  std::vector<char*> envp;
+  for (std::string& var : env) envp.push_back(var.data());
+  envp.push_back(nullptr);
   const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -96,8 +143,6 @@ WorkerProc spawn_worker(const ShardConfig& config) {
     IDG_CHECK(false, "fork failed: " << std::strerror(errno));
   }
   if (pid == 0) {
-    // Child: only async-signal-safe calls until exec (the parent may hold
-    // arbitrary locks — OpenMP, malloc — at fork time).
     ::dup2(sv[1], 0);
     ::dup2(sv[1], 1);
     ::close(sv[0]);
@@ -107,15 +152,14 @@ WorkerProc spawn_worker(const ShardConfig& config) {
     // it died before the prctl took effect.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (::getppid() != parent) ::_exit(125);
-    ::execl(path.c_str(), path.c_str(), kWorkerFlag,
-            static_cast<char*>(nullptr));
+    ::execve(path.c_str(), argv, envp.data());
     ::_exit(127);  // exec failed; surfaces as an immediate EOF upstairs
   }
   ::close(sv[1]);
   if (config.heartbeat_ms > 0) {
     // Receive timeout guards a worker stalling mid-frame; send timeout
     // guards a wedged worker that stopped draining its channel while the
-    // coordinator ships it a large job.
+    // coordinator ships it a large frame.
     timeval tv;
     tv.tv_sec = config.heartbeat_ms / 1000;
     tv.tv_usec = static_cast<long>(config.heartbeat_ms % 1000) * 1000;
@@ -129,16 +173,113 @@ WorkerProc spawn_worker(const ShardConfig& config) {
   return w;
 }
 
-/// Kills and reaps every still-live worker on scope exit — the cleanup
-/// path for cancellation and fatal errors. The graceful shutdown path
-/// empties the pool first, making this a no-op.
-struct PoolGuard {
-  std::vector<WorkerProc>* workers;
-  ~PoolGuard() {
-    if (workers == nullptr) return;
-    for (WorkerProc& w : *workers) kill_and_reap(w);
+/// Runs every fork of one pool on a thread that lives as long as the pool:
+/// PR_SET_PDEATHSIG fires when the thread that forked a child exits, not
+/// when its process does (prctl(2)), so forking on a caller's thread would
+/// kill the pool when that thread ends.
+class SpawnThread {
+ public:
+  SpawnThread() : thread_([this] { serve(); }) {}
+  ~SpawnThread() {
+    {
+      const std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    thread_.join();
   }
+  SpawnThread(const SpawnThread&) = delete;
+  SpawnThread& operator=(const SpawnThread&) = delete;
+
+  /// spawn_worker(config) on the thread; rethrows its error.
+  WorkerProc spawn(const ShardConfig& config) {
+    std::packaged_task<WorkerProc()> task(
+        [&config] { return spawn_worker(config); });
+    std::future<WorkerProc> result = task.get_future();
+    {
+      const std::lock_guard lock(mutex_);
+      task_ = &task;
+    }
+    wake_.notify_all();
+    return result.get();
+  }
+
+ private:
+  void serve() {
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      wake_.wait(lock, [this] { return stop_ || task_ != nullptr; });
+      if (task_ == nullptr) return;  // stop_
+      std::packaged_task<WorkerProc()>* task = std::exchange(task_, nullptr);
+      lock.unlock();
+      (*task)();
+      lock.lock();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::packaged_task<WorkerProc()>* task_ = nullptr;  ///< guarded by mutex_
+  bool stop_ = false;                                  ///< guarded by mutex_
+  std::thread thread_;  ///< last: it starts on the members above
 };
+
+/// How long the destructor lets closed workers exit before SIGKILL.
+constexpr auto kShutdownGrace = std::chrono::milliseconds(500);
+
+}  // namespace
+
+/// The worker processes of one backend, and the context they are sent. A
+/// slot keeps its index for the pool's life; a dead worker is replaced in
+/// its slot.
+class WorkerPool {
+ public:
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  ~WorkerPool() {
+    // Closing its channel is a worker's shutdown: an idle worker reads EOF
+    // at a frame boundary and exits 0.
+    for (WorkerProc& w : workers) {
+      if (w.fd >= 0) ::close(w.fd);
+      w.fd = -1;
+    }
+    // A wedged worker must not outlive the backend, nor hold up its
+    // destructor: a bounded wait, then SIGKILL.
+    const auto deadline = Clock::now() + kShutdownGrace;
+    for (WorkerProc& w : workers) {
+      while (w.pid > 0 && Clock::now() < deadline) {
+        if (try_reap(w.pid)) {
+          w.pid = -1;
+        } else {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      kill_and_reap(w);
+    }
+  }
+
+  WorkerProc spawn(const ShardConfig& config) {
+    return spawner_.spawn(config);
+  }
+
+  /// The cleanup path of a call that ends by exception.
+  void kill_all() {
+    for (WorkerProc& w : workers) kill_and_reap(w);
+    workers.clear();
+  }
+
+  std::vector<WorkerProc> workers;
+  SealedFrame context;            ///< the coordinator's copy of the context
+  std::uint64_t context_gen = 0;  ///< bumped whenever the context changes
+  std::uint64_t calls = 0;        ///< id of the latest call
+
+ private:
+  SpawnThread spawner_;
+};
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // The coordinator event loop, shared by grid and degrid.
@@ -146,7 +287,6 @@ struct PoolGuard {
 struct ShardState {
   ShardRange range;
   std::uint32_t failures = 0;
-  bool quarantined = false;
 };
 
 class Run {
@@ -158,26 +298,35 @@ class Run {
   using StoreFn = std::function<void(std::size_t, GroupResultMsg&&)>;
   using ProgressFn = std::function<void(const std::vector<std::uint8_t>&)>;
 
-  Run(const ShardConfig& config, const Plan& plan, const RunControl& ctl,
-      MsgType job_type, const std::string& job_payload, StoreFn store,
+  Run(const ShardConfig& config, WorkerPool& pool, const Plan& plan,
+      const RunControl& ctl, SealedFrame call, StoreFn store,
       ProgressFn progress)
       : config_(config),
+        pool_(pool),
         plan_(plan),
         ctl_(ctl),
-        job_type_(job_type),
-        job_payload_(job_payload),
+        call_(std::move(call)),
         store_(std::move(store)),
         progress_(std::move(progress)) {}
 
-  obs::ShardCounters counters;
-  JobReadyMsg ready;
+  ShardRunReport report;  ///< what this call did
+  CallReadyMsg ready;
   bool have_ready = false;
   std::uint64_t retried_groups = 0;
-  std::uint64_t quarantined_groups = 0;
-  std::uint64_t shards_completed = 0;
-  std::vector<std::size_t> quarantined_shards;
 
+  /// Runs the call. On any exception the pool is killed (the next call
+  /// respawns it), so no worker carries a broken call's state.
   void execute() {
+    try {
+      run();
+    } catch (...) {
+      pool_.kill_all();
+      throw;
+    }
+  }
+
+ private:
+  void run() {
     const std::size_t nr_groups = plan_.nr_work_groups();
     done_.assign(nr_groups, 0);
     remaining_ = 0;
@@ -190,6 +339,7 @@ class Run {
     }
     progress_(done_);
     if (remaining_ == 0) return;
+    check_aborts();
 
     const std::size_t nr_shards =
         config_.nr_shards > 0 ? config_.nr_shards : 2 * config_.nr_workers;
@@ -197,40 +347,20 @@ class Run {
       queue_.push_back(shards_.size());
       shards_.push_back(ShardState{range});
     }
+    fill_pool(
+        std::max<std::size_t>(1, std::min(config_.nr_workers, shards_.size())));
 
-    PoolGuard guard{&workers_};
-    const std::size_t pool =
-        std::max<std::size_t>(1, std::min(config_.nr_workers, shards_.size()));
-    for (std::size_t i = 0; i < pool; ++i) {
-      ++counters.workers_spawned;
-      spawn_one();
-    }
-
-    while (remaining_ > 0) {
+    // Until every group is in, then until every worker is idle: a worker
+    // still re-running delivered groups must not carry its frames into the
+    // next call.
+    while (remaining_ > 0 || busy()) {
       check_aborts();
       dispatch();
       poll_once();
       check_heartbeats();
     }
-
-    // Graceful shutdown: a polite kShutdown, then close — a worker still
-    // re-running already-delivered groups hits EPIPE and exits promptly.
-    for (WorkerProc& w : workers_) {
-      if (!w.live()) continue;
-      try {
-        write_frame(w.fd, MsgType::kShutdown, std::string());
-      } catch (const WireError&) {
-      }
-      ::close(w.fd);
-      w.fd = -1;
-      int status = 0;
-      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      w.pid = -1;
-    }
   }
 
- private:
   void check_aborts() {
     if (drain_requested()) {
       throw CancelledError(
@@ -240,20 +370,18 @@ class Run {
     ctl_.check_cancel("shard.coordinator");
   }
 
-  /// Spawns a worker and ships it the job. On an immediate wire failure
-  /// the dead entry is still recorded; the caller's respawn loop decides
-  /// whether to try again.
-  bool spawn_one() {
-    WorkerProc w = spawn_worker(config_);
-    bool ok = true;
-    try {
-      write_frame(w.fd, job_type_, job_payload_);
-    } catch (const WireError&) {
-      kill_and_reap(w);
-      ok = false;
+  /// Fills the pool's first `wanted` slots: an empty slot gets a new
+  /// worker, a dead one a replacement.
+  void fill_pool(std::size_t wanted) {
+    std::vector<WorkerProc>& workers = pool_.workers;
+    for (std::size_t i = 0; i < wanted; ++i) {
+      if (i == workers.size()) {
+        ++report.counters.workers_spawned;
+        workers.push_back(pool_.spawn(config_));
+      } else if (!workers[i].live()) {
+        respawn(workers[i], "a pool worker died between calls");
+      }
     }
-    workers_.push_back(std::move(w));
-    return ok;
   }
 
   /// Interruptible backoff sleep before a respawn: 1 ms slices, bailing
@@ -267,42 +395,41 @@ class Run {
     }
   }
 
-  void respawn(const std::string& why) {
-    while (!queue_.empty()) {
-      IDG_CHECK(respawns_ < config_.max_respawns,
-                "shard worker respawn limit ("
-                    << config_.max_respawns
-                    << ") exceeded; last failure: " << why);
-      ++respawns_;
-      ++counters.workers_respawned;
-      backoff_sleep(respawn_backoff_ms(respawns_,
-                                       config_.respawn_backoff_base_ms,
-                                       config_.respawn_backoff_cap_ms));
-      if (spawn_one()) return;
-    }
+  /// Replaces the dead worker in slot `w`.
+  void respawn(WorkerProc& w, const std::string& why) {
+    IDG_CHECK(respawns_ < config_.max_respawns,
+              "shard worker respawn limit ("
+                  << config_.max_respawns
+                  << ") exceeded; last failure: " << why);
+    ++respawns_;
+    ++report.counters.workers_respawned;
+    backoff_sleep(respawn_backoff_ms(respawns_,
+                                     config_.respawn_backoff_base_ms,
+                                     config_.respawn_backoff_cap_ms));
+    w = pool_.spawn(config_);
   }
 
-  std::size_t live_workers() const {
-    std::size_t n = 0;
-    for (const WorkerProc& w : workers_) n += w.live() ? 1 : 0;
-    return n;
+  bool busy() const {
+    for (const WorkerProc& w : pool_.workers) {
+      if (w.live() && w.shard >= 0) return true;
+    }
+    return false;
   }
 
   void quarantine_shard(std::size_t s) {
-    ShardState& st = shards_[s];
-    st.quarantined = true;
-    ++counters.shards_quarantined;
-    quarantined_shards.push_back(s);
+    const ShardState& st = shards_[s];
+    ++report.counters.shards_quarantined;
+    report.quarantined_shards.push_back(s);
     for (std::size_t g = st.range.group_begin; g < st.range.group_end; ++g) {
       if (done_[g] != 0) continue;
       done_[g] = 1;
       --remaining_;
-      ++quarantined_groups;
+      ++report.groups_quarantined;
     }
     progress_(done_);
   }
 
-  void shard_failed(std::size_t s, const std::string& why) {
+  void shard_failed(std::size_t s) {
     ShardState& st = shards_[s];
     ++st.failures;
     if (st.failures >= config_.max_attempts_per_shard) {
@@ -317,41 +444,48 @@ class Run {
     }
     retried_groups += undone;
     queue_.push_front(s);
-    ++counters.shards_rebalanced;
-    (void)why;
+    ++report.counters.shards_rebalanced;
   }
 
+  /// Kills the worker in slot `w` and, while work is queued, replaces it
+  /// in the same slot (so references to other slots stay valid).
   void fail_worker(WorkerProc& w, const std::string& why) {
     if (!w.live()) return;
-    kill_and_reap(w);
     const std::int64_t s = w.shard;
-    w.shard = -1;
-    if (s >= 0) shard_failed(static_cast<std::size_t>(s), why);
-    if (remaining_ > 0 && !queue_.empty() &&
-        live_workers() < config_.nr_workers) {
-      respawn(why);
-    }
+    kill_and_reap(w);
+    if (s >= 0) shard_failed(static_cast<std::size_t>(s));
+    if (remaining_ > 0 && !queue_.empty()) respawn(w, why);
   }
 
   void dispatch() {
-    // Index loop: fail_worker() may respawn (push_back) and reallocate
-    // workers_, so range iterators and held references would dangle.
-    for (std::size_t i = 0, n = workers_.size(); i < n; ++i) {
+    for (WorkerProc& w : pool_.workers) {
       if (queue_.empty()) break;
-      WorkerProc& w = workers_[i];
-      if (!w.live() || !w.ready || w.shard >= 0) continue;
+      if (!w.live() || w.shard >= 0) continue;
       const std::size_t s = queue_.front();
       const ShardRange& range = shards_[s].range;
-      ShardAssignMsg assign{s, range.group_begin, range.group_end};
       try {
-        write_frame(w.fd, MsgType::kShardAssign, encode_shard_assign(assign));
+        // The context goes where it is missing, the call frame to each
+        // worker once per call; the worker reads them in order before the
+        // assignment.
+        if (w.context != pool_.context_gen) {
+          write_frame(w.fd, pool_.context);
+          w.context = pool_.context_gen;
+        }
+        if (w.call != pool_.calls) {
+          write_frame(w.fd, call_);
+          w.call = pool_.calls;
+        }
+        write_frame(w.fd, MsgType::kShardAssign,
+                    encode_shard_assign(
+                        ShardAssignMsg{s, range.group_begin, range.group_end}));
       } catch (const WireError& e) {
         fail_worker(w, e.what());  // shard stays queued (popped on success)
         continue;
       }
       queue_.pop_front();
       w.shard = static_cast<std::int64_t>(s);
-      ++counters.shards_dispatched;
+      w.last_heard = Clock::now();  // an idle worker owes no heartbeat
+      ++report.counters.shards_dispatched;
     }
   }
 
@@ -360,14 +494,13 @@ class Run {
       case MsgType::kHello:
         decode_hello(frame.payload);  // validates magic + version
         break;
-      case MsgType::kJobReady: {
-        const JobReadyMsg msg = decode_job_ready(frame.payload);
+      case MsgType::kCallReady: {
+        const CallReadyMsg msg = decode_call_ready(frame.payload);
         if (!have_ready) {
-          // Every worker scrubs the identical job; record once.
+          // Every worker scrubs the identical call; record once.
           ready = msg;
           have_ready = true;
         }
-        w.ready = true;
         break;
       }
       case MsgType::kGroupResult: {
@@ -388,7 +521,7 @@ class Run {
           fail_worker(w, "worker completed a shard it was not assigned");
           break;
         }
-        ++shards_completed;
+        ++report.shards_completed;
         w.shard = -1;
         break;
       }
@@ -401,7 +534,7 @@ class Run {
         const std::int64_t s = w.shard;
         w.shard = -1;  // the worker survives and stays usable
         if (s >= 0 && static_cast<std::uint64_t>(s) == err.shard) {
-          shard_failed(static_cast<std::size_t>(s), err.message);
+          shard_failed(static_cast<std::size_t>(s));
         }
         break;
       }
@@ -413,11 +546,12 @@ class Run {
   }
 
   void poll_once() {
+    std::vector<WorkerProc>& workers = pool_.workers;
     std::vector<pollfd> fds;
     std::vector<std::size_t> owner;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i].live()) continue;
-      fds.push_back(pollfd{workers_[i].fd, POLLIN, 0});
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      if (!workers[i].live()) continue;
+      fds.push_back(pollfd{workers[i].fd, POLLIN, 0});
       owner.push_back(i);
     }
     IDG_CHECK(!fds.empty(),
@@ -430,19 +564,17 @@ class Run {
     }
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      // Re-index instead of holding a reference: frame handling may
-      // respawn a worker (push_back) and reallocate workers_.
-      const std::size_t wi = owner[i];
-      if (!workers_[wi].live()) continue;  // failed handling an earlier fd
+      WorkerProc& w = workers[owner[i]];
+      if (!w.live()) continue;
       try {
-        std::optional<Frame> frame = read_frame(workers_[wi].fd);
+        std::optional<Frame> frame = read_frame(w.fd);
         if (!frame) {
           throw WireError("worker closed its channel unexpectedly");
         }
-        workers_[wi].last_heard = Clock::now();
-        handle_frame(workers_[wi], std::move(*frame));
+        w.last_heard = Clock::now();
+        handle_frame(w, std::move(*frame));
       } catch (const WireError& e) {
-        fail_worker(workers_[wi], e.what());
+        fail_worker(w, e.what());
       }
     }
   }
@@ -450,12 +582,10 @@ class Run {
   void check_heartbeats() {
     if (config_.heartbeat_ms == 0) return;
     const auto deadline = std::chrono::milliseconds(config_.heartbeat_ms);
-    // Index loop: fail_worker() can push_back a replacement worker.
-    for (std::size_t i = 0, n = workers_.size(); i < n; ++i) {
+    for (WorkerProc& w : pool_.workers) {
       // Only workers holding a shard owe liveness: an idle worker has
-      // nothing to say, and job decode time is bounded by the send/receive
-      // timeouts on the channel itself.
-      WorkerProc& w = workers_[i];
+      // nothing to say, and context/call decode time is bounded by the
+      // send/receive timeouts on the channel itself.
       if (!w.live() || w.shard < 0) continue;
       if (Clock::now() - w.last_heard > deadline) {
         fail_worker(w, "heartbeat deadline (" +
@@ -466,16 +596,15 @@ class Run {
   }
 
   const ShardConfig& config_;
+  WorkerPool& pool_;
   const Plan& plan_;
   const RunControl& ctl_;
-  MsgType job_type_;
-  const std::string& job_payload_;
+  SealedFrame call_;
   StoreFn store_;
   ProgressFn progress_;
 
   std::vector<ShardState> shards_;
   std::deque<std::size_t> queue_;
-  std::vector<WorkerProc> workers_;
   std::vector<std::uint8_t> done_;
   std::size_t remaining_ = 0;
   std::uint32_t respawns_ = 0;
@@ -524,6 +653,53 @@ void ShardedBackend::reset_report() {
   report_ = ShardRunReport{};
 }
 
+std::vector<int> ShardedBackend::worker_pids() const {
+  const std::lock_guard lock(call_mutex_);
+  std::vector<int> pids;
+  if (pool_ != nullptr) {
+    for (const WorkerProc& w : pool_->workers) {
+      if (w.live()) pids.push_back(static_cast<int>(w.pid));
+    }
+  }
+  return pids;
+}
+
+WorkerPool& ShardedBackend::pool_for(const Plan& plan,
+                                     ArrayView<const UVW, 2> uvw,
+                                     FlagView flags,
+                                     ArrayView<const Jones, 4> aterms) const {
+  if (pool_ == nullptr) pool_ = std::make_unique<WorkerPool>();
+  std::string context = encode_context(plan, uvw, aterms, flags,
+                                       config_.kernel_set,
+                                       config_.worker_retries);
+  // Compared byte for byte, not by hash: a false match would grid stale
+  // uvw without a sound.
+  if (context != pool_->context.payload) {
+    pool_->context = seal_frame(MsgType::kContext, std::move(context));
+    ++pool_->context_gen;
+  }
+  ++pool_->calls;
+  return *pool_;
+}
+
+void ShardedBackend::record_call(const ShardRunReport& call,
+                                 std::uint64_t retried_groups, double seconds,
+                                 obs::MetricsSink& sink) const {
+  sink.record(stage::kShard, seconds);
+  sink.record_shard(stage::kShard, call.counters);
+  if (retried_groups > 0 || call.groups_quarantined > 0) {
+    sink.record_recovery(stage::kShard, retried_groups,
+                         call.groups_quarantined, 0);
+  }
+  std::lock_guard lock(mutex_);
+  report_.counters += call.counters;
+  report_.shards_completed += call.shards_completed;
+  report_.groups_quarantined += call.groups_quarantined;
+  report_.quarantined_shards.insert(report_.quarantined_shards.end(),
+                                    call.quarantined_shards.begin(),
+                                    call.quarantined_shards.end());
+}
+
 void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
                           ArrayView<const Visibility, 3> visibilities,
                           FlagView flags, ArrayView<const Jones, 4> aterms,
@@ -537,23 +713,22 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   check_aterm_raster(aterms, n);
   const auto t0 = Clock::now();
 
-  const std::string payload =
-      encode_grid_job(plan, uvw, visibilities, flags, aterms, ctl.skip_groups,
-                      config_.kernel_set, config_.worker_retries);
-
   // In-order merge state: results park in `pending` until every earlier
   // group is done, then the adder applies them strictly ascending — the
   // exact addition sequence of a single-process run (bit-identity).
   const std::size_t nr_groups = plan.nr_work_groups();
-  std::vector<std::string> pending(nr_groups);
+  std::vector<GroupResultMsg> pending(nr_groups);
   std::vector<std::uint8_t> has_result(nr_groups, 0);
   std::size_t next_apply = 0;
   Array4D<cfloat> subgrids(params.work_group_size,
                            static_cast<std::size_t>(kNrPolarizations), n, n);
   double merge_seconds = 0.0;
 
+  const std::lock_guard call_lock(call_mutex_);
   Run run(
-      config_, plan, ctl, MsgType::kJobGrid, payload,
+      config_, pool_for(plan, uvw, flags, aterms), plan, ctl,
+      seal_frame(MsgType::kCallGrid,
+                 encode_grid_call(ctl.skip_groups, visibilities)),
       [&](std::size_t g, GroupResultMsg&& msg) {
         const auto items = plan.work_group(g);
         IDG_CHECK(msg.kind == ResultKind::kSubgrids,
@@ -562,23 +737,23 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
         const std::size_t bytes =
             items.size() * static_cast<std::size_t>(kNrPolarizations) * n *
             n * sizeof(cfloat);
-        IDG_CHECK(msg.count == items.size() && msg.data.size() == bytes,
+        IDG_CHECK(msg.count == items.size() && msg.data().size() == bytes,
                   "subgrid result for group " << g << " has the wrong size");
-        pending[g] = std::move(msg.data);
+        pending[g] = std::move(msg);
         has_result[g] = 1;
       },
       [&](const std::vector<std::uint8_t>& done) {
         while (next_apply < nr_groups && done[next_apply] != 0) {
           if (has_result[next_apply] != 0) {
             const auto m0 = Clock::now();
-            std::memcpy(subgrids.data(), pending[next_apply].data(),
-                        pending[next_apply].size());
+            const std::string_view data = pending[next_apply].data();
+            std::memcpy(subgrids.data(), data.data(), data.size());
             add_group_to_grid(params, plan, next_apply, subgrids.cview(),
                               grid, sink, /*parallel=*/false);
             const double dt = seconds_since(m0);
             merge_seconds += dt;
             sink.record(stage::kShardMerge, dt);
-            pending[next_apply] = std::string();  // free the parked payload
+            pending[next_apply] = GroupResultMsg{};  // free the payload
           }
           ++next_apply;
         }
@@ -596,22 +771,8 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   sink.record_ops(idg::stage::kSubgridFft, subgrid_fft_op_counts(plan));
   sink.record_ops(idg::stage::kAdder, adder_op_counts(plan));
 
-  obs::ShardCounters counters = run.counters;
-  counters.merge_seconds = merge_seconds;
-  sink.record(stage::kShard, seconds_since(t0));
-  sink.record_shard(stage::kShard, counters);
-  if (run.retried_groups > 0 || run.quarantined_groups > 0) {
-    sink.record_recovery(stage::kShard, run.retried_groups,
-                         run.quarantined_groups, 0);
-  }
-
-  std::lock_guard lock(mutex_);
-  report_.counters += counters;
-  report_.shards_completed += run.shards_completed;
-  report_.groups_quarantined += run.quarantined_groups;
-  report_.quarantined_shards.insert(report_.quarantined_shards.end(),
-                                    run.quarantined_shards.begin(),
-                                    run.quarantined_shards.end());
+  run.report.counters.merge_seconds = merge_seconds;
+  record_call(run.report, run.retried_groups, seconds_since(t0), sink);
 }
 
 void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
@@ -627,15 +788,14 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   check_aterm_raster(aterms, params.subgrid_size);
   const auto t0 = Clock::now();
 
-  const std::string payload =
-      encode_degrid_job(plan, uvw, grid, flags, aterms, ctl.skip_groups,
-                        config_.kernel_set, config_.worker_retries);
-
   double merge_seconds = 0.0;
   std::uint64_t zeroed = 0;
 
+  const std::lock_guard call_lock(call_mutex_);
   Run run(
-      config_, plan, ctl, MsgType::kJobDegrid, payload,
+      config_, pool_for(plan, uvw, flags, aterms), plan, ctl,
+      seal_frame(MsgType::kCallDegrid,
+                 encode_degrid_call(ctl.skip_groups, grid)),
       [&](std::size_t g, GroupResultMsg&& msg) {
         const auto items = plan.work_group(g);
         IDG_CHECK(msg.kind == ResultKind::kVisibilities,
@@ -645,21 +805,23 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
         for (const WorkItem& item : items) expected += item.nr_visibilities();
         IDG_CHECK(
             msg.count == expected &&
-                msg.data.size() == expected * sizeof(Visibility),
+                msg.data().size() == expected * sizeof(Visibility),
             "predicted rect result for group " << g << " has the wrong size");
-        // Scatter the packed rects; items cover disjoint blocks so the
-        // arrival order across groups cannot change the result.
+        // Scatter the packed rects, one (item, timestep) row of channels at
+        // a time; items cover disjoint blocks so the arrival order across
+        // groups cannot change the result.
         const auto m0 = Clock::now();
-        const auto* src = reinterpret_cast<const Visibility*>(msg.data.data());
-        std::size_t idx = 0;
+        const char* src = msg.data().data();
         for (const WorkItem& item : items) {
+          const std::size_t row =
+              static_cast<std::size_t>(item.nr_channels) * sizeof(Visibility);
           for (int t = 0; t < item.nr_timesteps; ++t) {
-            for (int c = 0; c < item.nr_channels; ++c) {
-              visibilities(static_cast<std::size_t>(item.baseline),
-                           static_cast<std::size_t>(item.time_begin + t),
-                           static_cast<std::size_t>(item.channel_begin + c)) =
-                  src[idx++];
-            }
+            std::memcpy(&visibilities(
+                            static_cast<std::size_t>(item.baseline),
+                            static_cast<std::size_t>(item.time_begin + t),
+                            static_cast<std::size_t>(item.channel_begin)),
+                        src, row);
+            src += row;
           }
         }
         // What zero_flagged_outputs() zeroed worker-side for this group —
@@ -685,22 +847,8 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   sink.record_ops(idg::stage::kSubgridFft, subgrid_fft_op_counts(plan));
   sink.record_ops(idg::stage::kDegridder, degridder_op_counts(plan));
 
-  obs::ShardCounters counters = run.counters;
-  counters.merge_seconds = merge_seconds;
-  sink.record(stage::kShard, seconds_since(t0));
-  sink.record_shard(stage::kShard, counters);
-  if (run.retried_groups > 0 || run.quarantined_groups > 0) {
-    sink.record_recovery(stage::kShard, run.retried_groups,
-                         run.quarantined_groups, 0);
-  }
-
-  std::lock_guard lock(mutex_);
-  report_.counters += counters;
-  report_.shards_completed += run.shards_completed;
-  report_.groups_quarantined += run.quarantined_groups;
-  report_.quarantined_shards.insert(report_.quarantined_shards.end(),
-                                    run.quarantined_shards.begin(),
-                                    run.quarantined_shards.end());
+  run.report.counters.merge_seconds = merge_seconds;
+  record_call(run.report, run.retried_groups, seconds_since(t0), sink);
 }
 
 std::unique_ptr<GridderBackend> make_sharded_backend(const Parameters& params,

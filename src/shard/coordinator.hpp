@@ -3,13 +3,22 @@
 // `ShardedBackend` partitions a grid/degrid call's work groups into
 // contiguous, visibility-balanced shards (shard/planner.hpp) and dispatches
 // them to a pool of forked+exec'd worker processes speaking IDGSHRD1 over
-// socketpairs (shard/protocol.hpp, shard/worker.hpp). The coordinator owns
-// the failure model:
+// socketpairs (shard/protocol.hpp, shard/worker.hpp). The pool lives as
+// long as the backend: the first call spawns it, a dead worker is replaced
+// in its slot, and the destructor closes every channel and reaps every
+// worker (SIGKILL after a bounded wait). A worker keeps the context —
+// parameters, plan, uvw, A-terms, flags — between calls; a call ships it
+// only to workers that lack the current one (new, respawned, or every
+// worker once the context bytes change, compared exactly), and ships the
+// call frame — skip mask plus visibilities or grid — to each worker it
+// hands a shard. A call returns only when every live worker is idle, so no
+// frame of one call reaches the next. The coordinator owns the failure
+// model:
 //
 //   * worker death (EOF, wire corruption, waitpid) and heartbeat timeouts
 //     (SO_RCVTIMEO mid-frame + per-worker idle deadlines) put the worker's
 //     in-flight shard back at the FRONT of the queue and respawn a
-//     replacement, bounded by max_respawns;
+//     replacement, bounded by max_respawns per call;
 //   * a shard failing max_attempts_per_shard times (worker-reported errors
 //     or deaths while holding it) is quarantined: its remaining groups are
 //     dropped and reported, mirroring RunControl::skip_groups semantics;
@@ -18,7 +27,13 @@
 //   * SIGTERM drain (install_sigterm_drain) aborts the in-flight call with
 //     a CancelledError between events, so a checkpointing caller
 //     (clean/run_major_cycles) keeps its last completed cycle's IDGCKPT1
-//     file and a coordinator kill resumes bit-identically.
+//     file and a coordinator kill resumes bit-identically;
+//   * a call that ends by exception kills the whole pool; the next call
+//     spawns a new one.
+//
+// Workers are forked on a thread the pool owns: PR_SET_PDEATHSIG fires
+// when the forking *thread* exits (prctl(2)), and a pool outlives the
+// thread of any one call.
 //
 // Bit-identity: workers never touch the grid. Gridding workers ship each
 // group's post-FFT subgrids; the coordinator runs the adder itself, in
@@ -62,7 +77,8 @@ struct ShardConfig {
   /// before its remaining groups are quarantined.
   std::uint32_t max_attempts_per_shard = 3;
   /// Worker replacements allowed per call before the coordinator gives up
-  /// (a respawn storm means something systemic, not a stray kill).
+  /// (a respawn storm means something systemic, not a stray kill). A
+  /// worker that died between calls is replaced in the next call.
   std::uint32_t max_respawns = 8;
   /// Per-worker liveness deadline: a worker holding a shard that produces
   /// no frame bytes for this long is SIGKILLed and replaced. Also the
@@ -94,10 +110,17 @@ struct ShardRunReport {
   std::vector<std::size_t> quarantined_shards;
 };
 
+/// The worker processes of one ShardedBackend (coordinator.cpp).
+class WorkerPool;
+
 class ShardedBackend final : public GridderBackend {
  public:
   ShardedBackend(const Parameters& params, ShardConfig config);
+  /// Closes every worker's channel and reaps every worker; one that has
+  /// not exited after a bounded wait is SIGKILLed first.
   ~ShardedBackend() override;
+  ShardedBackend(const ShardedBackend&) = delete;
+  ShardedBackend& operator=(const ShardedBackend&) = delete;
 
   std::string name() const override { return "sharded"; }
   const Parameters& parameters() const override { return params_; }
@@ -105,6 +128,10 @@ class ShardedBackend final : public GridderBackend {
 
   ShardRunReport report() const;
   void reset_report();
+
+  /// Pids of the pool's live workers, by slot: empty before the first
+  /// call and after a call that ended by exception.
+  std::vector<int> worker_pids() const;
 
   using GridderBackend::grid;
   using GridderBackend::degrid;
@@ -119,10 +146,19 @@ class ShardedBackend final : public GridderBackend {
               const RunControl& ctl) const override;
 
  private:
+  /// The pool, created on the first call, holding this call's context.
+  WorkerPool& pool_for(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                       FlagView flags, ArrayView<const Jones, 4> aterms) const;
+  /// Records one call's shard stage into `sink` and the report.
+  void record_call(const ShardRunReport& call, std::uint64_t retried_groups,
+                   double seconds, obs::MetricsSink& sink) const;
+
   Parameters params_;
   ShardConfig config_;
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  ///< guards report_
   mutable ShardRunReport report_;
+  mutable std::mutex call_mutex_;  ///< one call at a time; guards pool_
+  mutable std::unique_ptr<WorkerPool> pool_;
 };
 
 /// Factory mirroring make_backend() (which cannot create sharded backends:

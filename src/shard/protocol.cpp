@@ -1,6 +1,7 @@
 #include "shard/protocol.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,13 +24,20 @@ namespace {
 /// header from driving a multi-gigabyte allocation.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 34;
 
-void write_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
+/// Writes every byte of `parts` in as few syscalls as the socket takes,
+/// advancing through the vector on partial writes.
+void write_all(int fd, std::span<iovec> parts) {
+  std::size_t first = 0;
+  while (first < parts.size()) {
+    msghdr msg{};
+    msg.msg_iov = parts.data() + first;
+    msg.msg_iovlen = parts.size() - first;
     // MSG_NOSIGNAL: a worker that died between frames must surface as
     // EPIPE (-> WireError -> respawn), not as a process-wide SIGPIPE.
-    ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, p, size);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) {
+      n = ::writev(fd, msg.msg_iov, static_cast<int>(msg.msg_iovlen));
+    }
     if (n < 0) {
       if (errno == EINTR) continue;  // interrupted by a signal: retry
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -40,8 +48,15 @@ void write_all(int fd, const void* data, std::size_t size) {
       throw WireError("wire protocol write failed: " +
                       std::string(std::strerror(errno)));
     }
-    p += n;
-    size -= static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (first < parts.size() && left >= parts[first].iov_len) {
+      left -= parts[first].iov_len;
+      ++first;
+    }
+    if (first < parts.size()) {
+      parts[first].iov_base = static_cast<char*>(parts[first].iov_base) + left;
+      parts[first].iov_len -= left;
+    }
   }
 }
 
@@ -74,11 +89,36 @@ bool read_exact(int fd, void* out, std::size_t size, bool eof_ok = false) {
   return true;
 }
 
-std::uint32_t frame_crc(std::uint32_t type, std::uint64_t size,
-                        std::string_view payload) {
+std::uint32_t frame_crc(std::uint32_t type,
+                        std::span<const std::string_view> payload) {
+  std::uint64_t size = 0;
+  for (const std::string_view part : payload) size += part.size();
   std::uint32_t crc = crc32(&type, sizeof(type));
   crc = crc32(&size, sizeof(size), crc);
-  return crc32(payload.data(), payload.size(), crc);
+  for (const std::string_view part : payload) {
+    crc = crc32(part.data(), part.size(), crc);
+  }
+  return crc;
+}
+
+/// Sends one frame whose payload is the concatenation of `payload` (at
+/// most two parts: a group result's fields and its element bytes).
+void send_frame(int fd, std::uint32_t type,
+                std::span<const std::string_view> payload, std::uint32_t crc) {
+  std::uint64_t size = 0;
+  for (const std::string_view part : payload) size += part.size();
+  char header[sizeof(type) + sizeof(size)];
+  std::memcpy(header, &type, sizeof(type));
+  std::memcpy(header + sizeof(type), &size, sizeof(size));
+  IDG_CHECK(payload.size() <= 2, "a frame payload has at most two parts");
+  iovec parts[4];
+  std::size_t n = 0;
+  parts[n++] = iovec{header, sizeof(header)};
+  for (const std::string_view part : payload) {
+    parts[n++] = iovec{const_cast<char*>(part.data()), part.size()};
+  }
+  parts[n++] = iovec{&crc, sizeof(crc)};
+  write_all(fd, std::span(parts, n));
 }
 
 /// The protocol fault sites inject idg::Error; remap to WireError so an
@@ -133,28 +173,6 @@ Array<T, Rank> get_array(CheckpointReader& r, const char* what) {
   return array;
 }
 
-void put_job_common(CheckpointWriter& w, const Plan& plan,
-                    ArrayView<const UVW, 2> uvw,
-                    ArrayView<const Jones, 4> aterms, FlagView flags,
-                    std::span<const std::uint8_t> skip_groups,
-                    const std::string& kernel_set,
-                    std::uint32_t worker_retries) {
-  w.write_pod(plan.parameters());
-  w.write_pod(static_cast<std::uint64_t>(plan.items().size()));
-  w.write_array(plan.items().data(), plan.items().size());
-  w.write_pod(static_cast<std::uint64_t>(plan.wavenumbers().size()));
-  w.write_array(plan.wavenumbers().data(), plan.wavenumbers().size());
-  w.write_pod(static_cast<std::uint64_t>(plan.nr_planned_visibilities()));
-  w.write_pod(static_cast<std::uint64_t>(plan.nr_dropped_visibilities()));
-  put_array(w, uvw);
-  put_array(w, aterms);
-  put_array(w, flags);
-  w.write_pod(static_cast<std::uint64_t>(skip_groups.size()));
-  w.write_array(skip_groups.data(), skip_groups.size());
-  put_string(w, kernel_set);
-  w.write_pod(worker_retries);
-}
-
 /// Reads Parameters, which travel as their object bytes. The one bool among
 /// them, the engaged flag of `epsilon`, may hold only 0 or 1: reading any
 /// other byte as a bool is undefined, so the flag is checked before
@@ -166,48 +184,28 @@ Parameters get_parameters(CheckpointReader& r) {
   constexpr std::size_t kEpsilonFlag =
       offsetof(Parameters, epsilon) + sizeof(double);
   unsigned char bytes[sizeof(Parameters)];
-  r.read_array(bytes, sizeof(bytes), "job parameters");
+  r.read_array(bytes, sizeof(bytes), "context parameters");
   IDG_CHECK(bytes[kEpsilonFlag] <= 1,
-            "shard job parameters carry a corrupt epsilon flag ("
+            "shard context parameters carry a corrupt epsilon flag ("
                 << static_cast<int>(bytes[kEpsilonFlag]) << ")");
   Parameters params;
   std::memcpy(&params, bytes, sizeof(params));
   return params;
 }
 
-JobCommon get_job_common(CheckpointReader& r) {
-  const Parameters params = get_parameters(r);
-  std::uint64_t nr_items = 0;
-  r.read_pod(nr_items, "job item count");
-  std::vector<WorkItem> items(
-      r.checked_count({&nr_items, 1}, sizeof(WorkItem), "job items"));
-  r.read_array(items.data(), items.size(), "job items");
-  std::uint64_t nr_wavenumbers = 0;
-  r.read_pod(nr_wavenumbers, "job wavenumber count");
-  std::vector<float> wavenumbers(
-      r.checked_count({&nr_wavenumbers, 1}, sizeof(float), "job wavenumbers"));
-  r.read_array(wavenumbers.data(), wavenumbers.size(), "job wavenumbers");
-  std::uint64_t planned = 0;
-  std::uint64_t dropped = 0;
-  r.read_pod(planned, "job planned visibilities");
-  r.read_pod(dropped, "job dropped visibilities");
-  Plan plan = Plan::from_parts(params, std::move(items),
-                               std::move(wavenumbers), planned, dropped);
-  auto uvw = get_array<UVW, 2>(r, "job uvw");
-  auto aterms = get_array<Jones, 4>(r, "job aterms");
-  auto flags = get_array<std::uint8_t, 3>(r, "job flags");
+std::vector<std::uint8_t> get_skip_mask(CheckpointReader& r) {
   std::uint64_t nr_skip = 0;
-  r.read_pod(nr_skip, "job skip mask size");
+  r.read_pod(nr_skip, "call skip mask size");
   std::vector<std::uint8_t> skip_groups(
-      r.checked_count({&nr_skip, 1}, 1, "job skip mask"));
-  r.read_array(skip_groups.data(), skip_groups.size(), "job skip mask");
-  std::string kernel_set = get_string(r, "job kernel set");
-  std::uint32_t worker_retries = 0;
-  r.read_pod(worker_retries, "job worker retries");
-  return JobCommon{std::move(plan),       std::move(uvw),
-                   std::move(aterms),     std::move(flags),
-                   std::move(skip_groups), std::move(kernel_set),
-                   worker_retries};
+      r.checked_count({&nr_skip, 1}, 1, "call skip mask"));
+  r.read_array(skip_groups.data(), skip_groups.size(), "call skip mask");
+  return skip_groups;
+}
+
+void put_skip_mask(CheckpointWriter& w,
+                   std::span<const std::uint8_t> skip_groups) {
+  w.write_pod(static_cast<std::uint64_t>(skip_groups.size()));
+  w.write_array(skip_groups.data(), skip_groups.size());
 }
 
 }  // namespace
@@ -215,14 +213,14 @@ JobCommon get_job_common(CheckpointReader& r) {
 const char* to_string(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "hello";
-    case MsgType::kJobGrid: return "job-grid";
-    case MsgType::kJobDegrid: return "job-degrid";
-    case MsgType::kJobReady: return "job-ready";
+    case MsgType::kCallGrid: return "call-grid";
+    case MsgType::kCallDegrid: return "call-degrid";
+    case MsgType::kCallReady: return "call-ready";
     case MsgType::kShardAssign: return "shard-assign";
     case MsgType::kGroupResult: return "group-result";
     case MsgType::kShardDone: return "shard-done";
     case MsgType::kShardError: return "shard-error";
-    case MsgType::kShutdown: return "shutdown";
+    case MsgType::kContext: return "context";
   }
   return "unknown";
 }
@@ -230,12 +228,8 @@ const char* to_string(MsgType type) {
 void write_frame_raw(int fd, std::uint32_t type, std::string_view payload,
                      const char* fault_site) {
   protocol_fault_point(fault_site, type);
-  const auto size = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = frame_crc(type, size, payload);
-  write_all(fd, &type, sizeof(type));
-  write_all(fd, &size, sizeof(size));
-  write_all(fd, payload.data(), payload.size());
-  write_all(fd, &crc, sizeof(crc));
+  const std::string_view parts[] = {payload};
+  send_frame(fd, type, parts, frame_crc(type, parts));
 }
 
 std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site) {
@@ -253,7 +247,8 @@ std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site) {
   read_exact(fd, frame.payload.data(), frame.payload.size());
   std::uint32_t crc = 0;
   read_exact(fd, &crc, sizeof(crc));
-  if (crc != frame_crc(frame.type, size, frame.payload)) {
+  const std::string_view parts[] = {frame.payload};
+  if (crc != frame_crc(frame.type, parts)) {
     throw WireError("wire protocol CRC mismatch on a type-" +
                     std::to_string(frame.type) + " frame: corrupt stream");
   }
@@ -261,9 +256,23 @@ std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site) {
   return frame;
 }
 
+constexpr const char* kWriteSite = "shard.protocol.write";
+
 void write_frame(int fd, MsgType type, std::string_view payload) {
-  write_frame_raw(fd, static_cast<std::uint32_t>(type), payload,
-                  "shard.protocol.write");
+  write_frame_raw(fd, static_cast<std::uint32_t>(type), payload, kWriteSite);
+}
+
+SealedFrame seal_frame(MsgType type, std::string payload) {
+  const std::string_view parts[] = {payload};
+  const std::uint32_t crc = frame_crc(static_cast<std::uint32_t>(type), parts);
+  return SealedFrame{type, std::move(payload), crc};
+}
+
+void write_frame(int fd, const SealedFrame& frame) {
+  const auto type = static_cast<std::uint32_t>(frame.type);
+  protocol_fault_point(kWriteSite, type);
+  const std::string_view parts[] = {frame.payload};
+  send_frame(fd, type, parts, frame.crc);
 }
 
 std::optional<Frame> read_frame(int fd) {
@@ -317,7 +326,7 @@ ShardAssignMsg decode_shard_assign(const std::string& payload) {
   return msg;
 }
 
-std::string encode_job_ready(const JobReadyMsg& msg) {
+std::string encode_call_ready(const CallReadyMsg& msg) {
   CheckpointWriter w;
   w.write_pod(msg.scrubbed);
   w.write_pod(msg.skipped_samples);
@@ -325,9 +334,9 @@ std::string encode_job_ready(const JobReadyMsg& msg) {
   return w.take_payload();
 }
 
-JobReadyMsg decode_job_ready(const std::string& payload) {
-  auto r = CheckpointReader::from_payload(payload, "job-ready");
-  JobReadyMsg msg;
+CallReadyMsg decode_call_ready(const std::string& payload) {
+  auto r = CheckpointReader::from_payload(payload, "call-ready");
+  CallReadyMsg msg;
   r.read_pod(msg.scrubbed, "ready scrubbed count");
   r.read_pod(msg.skipped_samples, "ready skipped count");
   r.read_pod(msg.has_scrub, "ready scrub flag");
@@ -335,17 +344,32 @@ JobReadyMsg decode_job_ready(const std::string& payload) {
   return msg;
 }
 
-std::string encode_group_result(const GroupResultMsg& msg) {
+std::string encode_group_result(const GroupResultHead& head,
+                                std::string_view data) {
   CheckpointWriter w;
-  w.write_pod(msg.group);
-  w.write_pod(static_cast<std::uint32_t>(msg.kind));
-  w.write_pod(msg.count);
-  w.write_array(msg.data.data(), msg.data.size());
+  w.write_pod(head.group);
+  w.write_pod(static_cast<std::uint32_t>(head.kind));
+  w.write_pod(head.count);
+  w.write_array(data.data(), data.size());
   return w.take_payload();
 }
 
+void write_group_result(int fd, const GroupResultHead& head,
+                        std::string_view data) {
+  constexpr auto type = static_cast<std::uint32_t>(MsgType::kGroupResult);
+  protocol_fault_point(kWriteSite, type);
+  const std::string fields = encode_group_result(head, {});
+  const std::string_view parts[] = {fields, data};
+  send_frame(fd, type, parts, frame_crc(type, parts));
+}
+
 GroupResultMsg decode_group_result(std::string payload) {
-  auto r = CheckpointReader::from_payload(std::move(payload), "group-result");
+  // Only the head goes through the codec (which owns what it reads); the
+  // element bytes stay in the payload they arrived in.
+  constexpr std::size_t kHeadBytes =
+      2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  auto r = CheckpointReader::from_payload(payload.substr(0, kHeadBytes),
+                                          "group-result");
   GroupResultMsg msg;
   r.read_pod(msg.group, "result group");
   std::uint32_t kind = 0;
@@ -354,9 +378,9 @@ GroupResultMsg decode_group_result(std::string payload) {
             "shard group result carries an unknown kind " << kind);
   msg.kind = static_cast<ResultKind>(kind);
   r.read_pod(msg.count, "result count");
-  msg.data.resize(r.remaining());
-  r.read_array(msg.data.data(), msg.data.size(), "result data");
   r.finish();
+  msg.data_offset = kHeadBytes;
+  msg.payload = std::move(payload);
   return msg;
 }
 
@@ -394,46 +418,87 @@ ShardErrorMsg decode_shard_error(const std::string& payload) {
   return msg;
 }
 
-std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                            ArrayView<const Visibility, 3> visibilities,
-                            FlagView flags, ArrayView<const Jones, 4> aterms,
-                            std::span<const std::uint8_t> skip_groups,
-                            const std::string& kernel_set,
-                            std::uint32_t worker_retries) {
+std::string encode_context(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                           ArrayView<const Jones, 4> aterms, FlagView flags,
+                           const std::string& kernel_set,
+                           std::uint32_t worker_retries) {
   CheckpointWriter w;
-  put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
-                 worker_retries);
+  w.write_pod(plan.parameters());
+  w.write_pod(static_cast<std::uint64_t>(plan.items().size()));
+  w.write_array(plan.items().data(), plan.items().size());
+  w.write_pod(static_cast<std::uint64_t>(plan.wavenumbers().size()));
+  w.write_array(plan.wavenumbers().data(), plan.wavenumbers().size());
+  w.write_pod(static_cast<std::uint64_t>(plan.nr_planned_visibilities()));
+  w.write_pod(static_cast<std::uint64_t>(plan.nr_dropped_visibilities()));
+  put_array(w, uvw);
+  put_array(w, aterms);
+  put_array(w, flags);
+  put_string(w, kernel_set);
+  w.write_pod(worker_retries);
+  return w.take_payload();
+}
+
+ContextMsg decode_context(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "context");
+  const Parameters params = get_parameters(r);
+  std::uint64_t nr_items = 0;
+  r.read_pod(nr_items, "context item count");
+  std::vector<WorkItem> items(
+      r.checked_count({&nr_items, 1}, sizeof(WorkItem), "context items"));
+  r.read_array(items.data(), items.size(), "context items");
+  std::uint64_t nr_wavenumbers = 0;
+  r.read_pod(nr_wavenumbers, "context wavenumber count");
+  std::vector<float> wavenumbers(r.checked_count(
+      {&nr_wavenumbers, 1}, sizeof(float), "context wavenumbers"));
+  r.read_array(wavenumbers.data(), wavenumbers.size(), "context wavenumbers");
+  std::uint64_t planned = 0;
+  std::uint64_t dropped = 0;
+  r.read_pod(planned, "context planned visibilities");
+  r.read_pod(dropped, "context dropped visibilities");
+  Plan plan = Plan::from_parts(params, std::move(items),
+                               std::move(wavenumbers), planned, dropped);
+  auto uvw = get_array<UVW, 2>(r, "context uvw");
+  auto aterms = get_array<Jones, 4>(r, "context aterms");
+  auto flags = get_array<std::uint8_t, 3>(r, "context flags");
+  std::string kernel_set = get_string(r, "context kernel set");
+  std::uint32_t worker_retries = 0;
+  r.read_pod(worker_retries, "context worker retries");
+  r.finish();
+  return ContextMsg{std::move(plan),   std::move(uvw),
+                    std::move(aterms), std::move(flags),
+                    std::move(kernel_set), worker_retries};
+}
+
+std::string encode_grid_call(std::span<const std::uint8_t> skip_groups,
+                             ArrayView<const Visibility, 3> visibilities) {
+  CheckpointWriter w;
+  put_skip_mask(w, skip_groups);
   put_array(w, visibilities);
   return w.take_payload();
 }
 
-GridJobMsg decode_grid_job(std::string payload) {
-  auto r = CheckpointReader::from_payload(std::move(payload), "job-grid");
-  JobCommon common = get_job_common(r);
-  auto visibilities = get_array<Visibility, 3>(r, "job visibilities");
+GridCallMsg decode_grid_call(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "call-grid");
+  GridCallMsg msg{get_skip_mask(r), {}};
+  msg.visibilities = get_array<Visibility, 3>(r, "call visibilities");
   r.finish();
-  return GridJobMsg{std::move(common), std::move(visibilities)};
+  return msg;
 }
 
-std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                              ArrayView<const cfloat, 3> grid, FlagView flags,
-                              ArrayView<const Jones, 4> aterms,
-                              std::span<const std::uint8_t> skip_groups,
-                              const std::string& kernel_set,
-                              std::uint32_t worker_retries) {
+std::string encode_degrid_call(std::span<const std::uint8_t> skip_groups,
+                               ArrayView<const cfloat, 3> grid) {
   CheckpointWriter w;
-  put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
-                 worker_retries);
+  put_skip_mask(w, skip_groups);
   put_array(w, grid);
   return w.take_payload();
 }
 
-DegridJobMsg decode_degrid_job(std::string payload) {
-  auto r = CheckpointReader::from_payload(std::move(payload), "job-degrid");
-  JobCommon common = get_job_common(r);
-  auto grid = get_array<cfloat, 3>(r, "job grid");
+DegridCallMsg decode_degrid_call(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "call-degrid");
+  DegridCallMsg msg{get_skip_mask(r), {}};
+  msg.grid = get_array<cfloat, 3>(r, "call grid");
   r.finish();
-  return DegridJobMsg{std::move(common), std::move(grid)};
+  return msg;
 }
 
 }  // namespace idg::shard

@@ -8,10 +8,16 @@
 //
 // Payloads reuse the CheckpointWriter/CheckpointReader byte codec
 // (common/checkpoint.hpp): POD fields and raw arrays with named truncation
-// errors, exactly the discipline the IDGCKPT1 files already follow. The
-// protocol is deadlock-free by construction: the coordinator only writes
-// job/assignment frames while the worker sits in its read loop, and large
-// result frames only flow while the coordinator polls for them.
+// errors, exactly the discipline the IDGCKPT1 files already follow. A job
+// travels in two frames: a context frame with what a backend's calls
+// share (parameters, plan, uvw, A-terms, flags, kernel set) and one call
+// frame per grid or degrid call (the skip mask and the visibilities or the
+// grid). A worker keeps its context between calls, so the coordinator sends
+// it only to workers that do not hold the current one. The protocol is
+// deadlock-free by construction: the coordinator only writes context, call
+// and assignment frames to a worker that holds no shard, so the worker sits
+// in its read loop, and large result frames only flow while the
+// coordinator polls for them.
 //
 // Failure taxonomy: every channel-level problem — EOF mid-frame, CRC
 // mismatch, a receive timeout from the heartbeat deadline, a broken pipe —
@@ -36,7 +42,7 @@
 namespace idg::shard {
 
 inline constexpr const char* kProtocolMagic = "IDGSHRD1";
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Channel-level failure: the peer is gone or the stream is corrupt. The
 /// coordinator maps it to "this worker died".
@@ -53,16 +59,18 @@ class WireTimeout : public WireError {
   using WireError::WireError;
 };
 
+/// A worker exits when the coordinator closes its channel between frames;
+/// no message asks it to.
 enum class MsgType : std::uint32_t {
   kHello = 1,        ///< W->C: magic, version, pid — first frame after exec
-  kJobGrid = 2,      ///< C->W: full gridding job setup
-  kJobDegrid = 3,    ///< C->W: full degridding job setup
-  kJobReady = 4,     ///< W->C: job decoded + scrubbed; scrub report attached
+  kCallGrid = 2,     ///< C->W: one gridding call: skip mask, visibilities
+  kCallDegrid = 3,   ///< C->W: one degridding call: skip mask, grid
+  kCallReady = 4,    ///< W->C: call decoded + scrubbed; scrub report attached
   kShardAssign = 5,  ///< C->W: compute work groups [begin, end) of a shard
   kGroupResult = 6,  ///< W->C: one group's subgrids / predicted rects / skip
   kShardDone = 7,    ///< W->C: every group of the shard was reported
   kShardError = 8,   ///< W->C: shard abandoned (failure or cancellation)
-  kShutdown = 9,     ///< C->W: drain and exit 0
+  kContext = 9,      ///< C->W: what the calls share, kept between calls
 };
 
 const char* to_string(MsgType type);
@@ -112,6 +120,20 @@ std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site);
 /// the worker-failure recovery path.
 void write_frame(int fd, MsgType type, std::string_view payload);
 
+/// A frame checksummed once and written to any number of channels: a
+/// context or call payload sent to every worker pays for one CRC.
+struct SealedFrame {
+  MsgType type = MsgType::kHello;
+  std::string payload;
+  std::uint32_t crc = 0;
+};
+
+SealedFrame seal_frame(MsgType type, std::string payload);
+
+/// write_frame with the CRC computed by seal_frame; same bytes, same fault
+/// site.
+void write_frame(int fd, const SealedFrame& frame);
+
 /// Reads one frame. Returns nullopt on a clean EOF at a frame boundary
 /// (the peer closed the channel between messages); throws WireError on a
 /// mid-frame EOF, a CRC/length violation, or any read error, and
@@ -134,7 +156,7 @@ struct ShardAssignMsg {
   std::uint64_t group_end = 0;
 };
 
-struct JobReadyMsg {
+struct CallReadyMsg {
   std::uint64_t scrubbed = 0;         ///< samples neutralized by the scrub
   std::uint64_t skipped_samples = 0;  ///< samples in scrub-dropped groups
   std::uint8_t has_scrub = 0;         ///< a scrub pass actually ran
@@ -146,11 +168,23 @@ enum class ResultKind : std::uint32_t {
   kSkipped = 2,       ///< group dropped by the worker's scrub pass
 };
 
-struct GroupResultMsg {
+/// The fields ahead of a group result's element bytes.
+struct GroupResultHead {
   std::uint64_t group = 0;
   ResultKind kind = ResultKind::kSkipped;
   std::uint64_t count = 0;  ///< items (kSubgrids) or visibilities
-  std::string data;         ///< raw element bytes, empty for kSkipped
+};
+
+/// A decoded group result. It keeps the frame's payload, and data() views
+/// the element bytes inside it (empty for kSkipped): a 262 KB subgrid
+/// result is not copied out of the frame it arrived in.
+struct GroupResultMsg : GroupResultHead {
+  std::string payload;
+  std::size_t data_offset = 0;
+
+  std::string_view data() const {
+    return std::string_view(payload).substr(data_offset);
+  }
 };
 
 struct ShardErrorMsg {
@@ -164,29 +198,33 @@ std::string encode_hello(const HelloMsg& msg);
 HelloMsg decode_hello(const std::string& payload);
 std::string encode_shard_assign(const ShardAssignMsg& msg);
 ShardAssignMsg decode_shard_assign(const std::string& payload);
-std::string encode_job_ready(const JobReadyMsg& msg);
-JobReadyMsg decode_job_ready(const std::string& payload);
-std::string encode_group_result(const GroupResultMsg& msg);
+std::string encode_call_ready(const CallReadyMsg& msg);
+CallReadyMsg decode_call_ready(const std::string& payload);
+std::string encode_group_result(const GroupResultHead& head,
+                                std::string_view data);
 GroupResultMsg decode_group_result(std::string payload);
 std::string encode_shard_done(std::uint64_t shard);
 std::uint64_t decode_shard_done(const std::string& payload);
 std::string encode_shard_error(const ShardErrorMsg& msg);
 ShardErrorMsg decode_shard_error(const std::string& payload);
 
-// ---------------------------------------------------------------------------
-// Job setup: everything a fresh worker process needs to reconstruct the
-// coordinator's run — Parameters, the plan's parts (items shipped in their
-// final order so Plan::from_parts rebuilds it bit-identically), the input
-// arrays, the caller's skip mask, the kernel-set registry name and the
-// in-worker supervision knob.
+/// Writes the kGroupResult frame of encode_group_result(head, data) straight
+/// from the caller's buffer, without assembling its payload first.
+void write_group_result(int fd, const GroupResultHead& head,
+                        std::string_view data);
 
-/// The shared (direction-independent) slice of a decoded job.
-struct JobCommon {
+// ---------------------------------------------------------------------------
+// The context: what a fresh worker needs before its first call and keeps
+// for every later one — Parameters, the plan's parts (items shipped in
+// their final order so Plan::from_parts rebuilds it bit-identically), uvw,
+// the A-terms, the flags, the kernel-set registry name and the in-worker
+// supervision knob.
+
+struct ContextMsg {
   Plan plan;
   Array2D<UVW> uvw;
   Array4D<Jones> aterms;
   Array3D<std::uint8_t> flags;  ///< zero-size when nothing is flagged
-  std::vector<std::uint8_t> skip_groups;
   std::string kernel_set;
   std::uint32_t worker_retries = 0;
 
@@ -195,30 +233,32 @@ struct JobCommon {
   }
 };
 
-struct GridJobMsg {
-  JobCommon common;
+std::string encode_context(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                           ArrayView<const Jones, 4> aterms, FlagView flags,
+                           const std::string& kernel_set,
+                           std::uint32_t worker_retries);
+ContextMsg decode_context(std::string payload);
+
+// ---------------------------------------------------------------------------
+// Calls: what changes from one grid or degrid call to the next — the
+// caller's skip mask and the input array.
+
+struct GridCallMsg {
+  std::vector<std::uint8_t> skip_groups;
   Array3D<Visibility> visibilities;
 };
 
-struct DegridJobMsg {
-  JobCommon common;
+struct DegridCallMsg {
+  std::vector<std::uint8_t> skip_groups;
   Array3D<cfloat> grid;
 };
 
-std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                            ArrayView<const Visibility, 3> visibilities,
-                            FlagView flags, ArrayView<const Jones, 4> aterms,
-                            std::span<const std::uint8_t> skip_groups,
-                            const std::string& kernel_set,
-                            std::uint32_t worker_retries);
-GridJobMsg decode_grid_job(std::string payload);
+std::string encode_grid_call(std::span<const std::uint8_t> skip_groups,
+                             ArrayView<const Visibility, 3> visibilities);
+GridCallMsg decode_grid_call(std::string payload);
 
-std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                              ArrayView<const cfloat, 3> grid, FlagView flags,
-                              ArrayView<const Jones, 4> aterms,
-                              std::span<const std::uint8_t> skip_groups,
-                              const std::string& kernel_set,
-                              std::uint32_t worker_retries);
-DegridJobMsg decode_degrid_job(std::string payload);
+std::string encode_degrid_call(std::span<const std::uint8_t> skip_groups,
+                               ArrayView<const cfloat, 3> grid);
+DegridCallMsg decode_degrid_call(std::string payload);
 
 }  // namespace idg::shard

@@ -27,14 +27,17 @@ namespace idg::shard {
 
 namespace {
 
-/// Deterministic test kill: IDG_SHARD_TEST_DIE="<group>:<marker-path>"
-/// makes the worker SIGKILL itself right before computing that group —
-/// but only once: the first worker to arrive creates the marker file
-/// atomically (O_EXCL) and dies; its respawned successor finds the marker
-/// and survives the same group. No timing, no randomness.
+/// Deterministic test kill: IDG_SHARD_TEST_DIE="<group>[@<call>]:<marker>"
+/// makes the worker SIGKILL itself right before computing that group, in
+/// any call or only in the worker's <call>-th call (counted from 1 by each
+/// worker process) — but only once: the first worker to arrive creates the
+/// marker file atomically (O_EXCL) and dies; later arrivals find the marker
+/// and survive the same group. No timing, no randomness.
 struct TestDie {
   std::int64_t group = -1;
+  std::uint64_t call = 0;  ///< 0: any call
   std::string marker;
+  std::uint64_t calls = 0;  ///< call frames this worker has received
 };
 
 std::optional<TestDie> parse_test_die() {
@@ -42,16 +45,21 @@ std::optional<TestDie> parse_test_die() {
   if (spec == nullptr) return std::nullopt;
   const char* colon = std::strchr(spec, ':');
   IDG_CHECK(colon != nullptr && colon != spec && colon[1] != '\0',
-            "IDG_SHARD_TEST_DIE must be '<group>:<marker-path>', got '"
-                << spec << "'");
+            "IDG_SHARD_TEST_DIE must be '<group>[@<call>]:<marker-path>', "
+            "got '" << spec << "'");
+  const std::string where(spec, colon);
   TestDie die;
-  die.group = std::atoll(std::string(spec, colon).c_str());
+  die.group = std::atoll(where.c_str());
+  if (const std::size_t at = where.find('@'); at != std::string::npos) {
+    die.call = std::strtoull(where.c_str() + at + 1, nullptr, 10);
+  }
   die.marker = colon + 1;
   return die;
 }
 
 void maybe_die_at(const std::optional<TestDie>& die, std::size_t group) {
   if (!die || static_cast<std::int64_t>(group) != die->group) return;
+  if (die->call != 0 && die->call != die->calls) return;
   const int fd =
       ::open(die->marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
   if (fd < 0) return;  // marker exists: this kill already happened
@@ -59,62 +67,116 @@ void maybe_die_at(const std::optional<TestDie>& die, std::size_t group) {
   ::raise(SIGKILL);
 }
 
-/// One decoded gridding job and everything derived from it that persists
-/// across shard assignments: the kernel set, the scrubbed cube, the
-/// per-group deadline token and the reusable subgrid buffer.
-class GridJobState {
+/// The decoded context and what the worker derives from it once for every
+/// call: the kernel set's Processor (and its taper), the gridder's scratch
+/// subgrids, and — built on the first degrid call — the degrid scrub, the
+/// (supervised) degrid backend and its scratch cube.
+class Context {
  public:
-  explicit GridJobState(GridJobMsg msg)
-      : job_(std::move(msg)),
-        proc_(job_.common.plan.parameters(),
-              kernels::kernel_set(job_.common.kernel_set)),
-        token_(job_.common.plan.parameters().deadline_ms),
-        scope_(token_),
-        scrubbed_(scrub_gridder_input(
-            job_.common.plan.parameters(), job_.common.plan,
-            job_.visibilities.cview(), job_.common.flag_view(), &token_)),
-        subgrids_(job_.common.plan.parameters().work_group_size,
+  explicit Context(ContextMsg msg)
+      : msg_(std::move(msg)),
+        proc_(params(), kernels::kernel_set(msg_.kernel_set)),
+        subgrids_(params().work_group_size,
                   static_cast<std::size_t>(kNrPolarizations),
-                  job_.common.plan.parameters().subgrid_size,
-                  job_.common.plan.parameters().subgrid_size),
-        data_{job_.common.uvw.cview(), job_.common.plan.wavenumbers(),
-              job_.common.aterms.cview(), proc_.taper().cview()} {
-    check_aterm_raster(job_.common.aterms.cview(),
-                       job_.common.plan.parameters().subgrid_size);
+                  params().subgrid_size, params().subgrid_size),
+        data_{msg_.uvw.cview(), msg_.plan.wavenumbers(), msg_.aterms.cview(),
+              proc_.taper().cview()} {
+    check_aterm_raster(msg_.aterms.cview(), params().subgrid_size);
+  }
+  Context(const Context&) = delete;  // data_ views msg_ and proc_
+  Context& operator=(const Context&) = delete;
+
+  const ContextMsg& msg() const { return msg_; }
+  const Plan& plan() const { return msg_.plan; }
+  const Parameters& params() const { return msg_.plan.parameters(); }
+  const Processor& processor() const { return proc_; }
+  const KernelData& kernel_data() const { return data_; }
+  ArrayView<cfloat, 4> subgrids() { return subgrids_.view(); }
+
+  /// The degrid half, built on first use: a context that only grids never
+  /// pays for the scratch cube.
+  struct Degrid {
+    DegridScrub scrub;
+    Array3D<Visibility> predicted;
+    /// Supervises a Processor of its own when the context asks for retries.
+    std::unique_ptr<ResilientBackend> resilient;
+  };
+  Degrid& degrid() {
+    if (degrid_ == nullptr) {
+      degrid_ = std::make_unique<Degrid>(
+          Degrid{scrub_degrid_plan(params(), plan(), msg_.flag_view()),
+                 Array3D<Visibility>(msg_.uvw.dim(0), msg_.uvw.dim(1),
+                                     plan().wavenumbers().size()),
+                 nullptr});
+      if (msg_.worker_retries > 0) {
+        SupervisorConfig config;
+        config.max_attempts_per_group = msg_.worker_retries + 1;
+        degrid_->resilient = std::make_unique<ResilientBackend>(
+            std::make_unique<Processor>(
+                params(), kernels::kernel_set(msg_.kernel_set)),
+            nullptr, config);
+      }
+    }
+    return *degrid_;
+  }
+  const GridderBackend& degrid_backend() {
+    Degrid& d = degrid();
+    if (d.resilient != nullptr) return *d.resilient;
+    return proc_;
   }
 
-  JobReadyMsg ready() const {
-    return JobReadyMsg{scrubbed_.report().scrubbed(),
-                       scrubbed_.report().skipped_samples, 1};
+ private:
+  ContextMsg msg_;
+  Processor proc_;
+  Array4D<cfloat> subgrids_;
+  KernelData data_;
+  std::unique_ptr<Degrid> degrid_;
+};
+
+/// One gridding call: the scrubbed cube and the call's deadline token.
+class GridCall {
+ public:
+  GridCall(Context& context, GridCallMsg msg)
+      : context_(context),
+        msg_(std::move(msg)),
+        token_(context.params().deadline_ms),
+        scope_(token_),
+        scrubbed_(scrub_gridder_input(
+            context.params(), context.plan(), checked(msg_.visibilities),
+            context.msg().flag_view(), &token_)) {}
+
+  CallReadyMsg ready() const {
+    return CallReadyMsg{scrubbed_.report().scrubbed(),
+                        scrubbed_.report().skipped_samples, 1};
   }
 
   void run_shard(const ShardAssignMsg& assign, int out_fd,
                  const std::optional<TestDie>& die, std::int64_t& current) {
-    const Plan& plan = job_.common.plan;
-    const Parameters& params = plan.parameters();
+    const Plan& plan = context_.plan();
+    const Parameters& params = context_.params();
     IDG_CHECK(assign.group_end <= plan.nr_work_groups(),
               "shard assignment exceeds the plan's work groups");
     RunControl caller;
-    caller.skip_groups = job_.common.skip_groups;
+    caller.skip_groups = msg_.skip_groups;
+    const ArrayView<cfloat, 4> subgrids = context_.subgrids();
     for (std::size_t g = assign.group_begin; g < assign.group_end; ++g) {
       current = static_cast<std::int64_t>(g);
       token_.check("shard.worker.grid", current);
-      GroupResultMsg result;
-      result.group = g;
-      if (scrubbed_.group_skipped(g) || caller.group_skipped(g)) {
-        result.kind = ResultKind::kSkipped;
-      } else {
+      GroupResultHead result{g, ResultKind::kSkipped, 0};
+      std::string_view data;
+      if (!scrubbed_.group_skipped(g) && !caller.group_skipped(g)) {
         maybe_die_at(die, g);
         const auto items = plan.work_group(g);
         // Bounded in-worker retry: a transient StageFailure re-runs the
         // group (the kernels are pure functions of their inputs, so the
         // retry is bit-identical); cancellation and exhausted attempts
         // propagate and abandon the shard.
-        const std::uint32_t attempts = job_.common.worker_retries + 1;
+        const std::uint32_t attempts = context_.msg().worker_retries + 1;
         for (std::uint32_t attempt = 0;; ++attempt) {
           try {
-            proc_.grid_group_subgrids(plan, g, data_, scrubbed_.view(),
-                                      subgrids_.view(), obs::null_sink());
+            context_.processor().grid_group_subgrids(
+                plan, g, context_.kernel_data(), scrubbed_.view(), subgrids,
+                obs::null_sink());
             break;
           } catch (const CancelledError&) {
             throw;
@@ -125,71 +187,66 @@ class GridJobState {
         const std::size_t n = params.subgrid_size;
         result.kind = ResultKind::kSubgrids;
         result.count = items.size();
-        result.data.assign(
-            reinterpret_cast<const char*>(subgrids_.data()),
+        data = std::string_view(
+            reinterpret_cast<const char*>(subgrids.data()),
             items.size() * static_cast<std::size_t>(kNrPolarizations) * n *
                 n * sizeof(cfloat));
       }
-      write_frame(out_fd, MsgType::kGroupResult, encode_group_result(result));
+      write_group_result(out_fd, result, data);
     }
   }
 
  private:
-  GridJobMsg job_;
-  Processor proc_;
+  /// The cube must be the one the context's uvw and channels describe:
+  /// the plan's items index it.
+  ArrayView<const Visibility, 3> checked(const Array3D<Visibility>& vis) {
+    const ContextMsg& ctx = context_.msg();
+    IDG_CHECK(vis.dim(0) == ctx.uvw.dim(0) && vis.dim(1) == ctx.uvw.dim(1) &&
+                  vis.dim(2) == ctx.plan.wavenumbers().size(),
+              "grid call visibilities are " << vis.dim(0) << "x" << vis.dim(1)
+                                            << "x" << vis.dim(2)
+                                            << ", not the context's shape");
+    return vis.cview();
+  }
+
+  Context& context_;
+  GridCallMsg msg_;
   CancelToken token_;
   CancelScope scope_;
   ScrubbedVisibilities scrubbed_;
-  Array4D<cfloat> subgrids_;
-  KernelData data_;
 };
 
-/// One decoded degridding job. Each shard assignment runs one supervised
+/// One degridding call. Each shard assignment runs one supervised
 /// full-plan degrid with a skip mask enabling only the shard's groups,
-/// into a worker-local scratch cube; the predicted rects are then packed
+/// into the context's scratch cube; the predicted rects are then packed
 /// per group in item order (items cover disjoint rects, so the
 /// coordinator's scatter is order-insensitive and bit-identical to a
 /// single-process degrid).
-class DegridJobState {
+class DegridCall {
  public:
-  explicit DegridJobState(DegridJobMsg msg)
-      : job_(std::move(msg)),
-        token_(job_.common.plan.parameters().deadline_ms),
-        scope_(token_),
-        scrub_(scrub_degrid_plan(job_.common.plan.parameters(),
-                                 job_.common.plan, job_.common.flag_view())),
-        predicted_(job_.common.uvw.dim(0), job_.common.uvw.dim(1),
-                   job_.common.plan.wavenumbers().size()) {
-    auto proc = std::make_unique<Processor>(
-        job_.common.plan.parameters(),
-        kernels::kernel_set(job_.common.kernel_set));
-    if (job_.common.worker_retries > 0) {
-      SupervisorConfig config;
-      config.max_attempts_per_group = job_.common.worker_retries + 1;
-      auto resilient = std::make_unique<ResilientBackend>(std::move(proc),
-                                                          nullptr, config);
-      resilient_ = resilient.get();
-      backend_ = std::move(resilient);
-    } else {
-      backend_ = std::move(proc);
-    }
-  }
+  DegridCall(Context& context, DegridCallMsg msg)
+      : context_(context),
+        msg_(std::move(msg)),
+        token_(context.params().deadline_ms),
+        scope_(token_) {}
 
-  JobReadyMsg ready() const {
-    return JobReadyMsg{scrub_.report.scrubbed(),
-                       scrub_.report.skipped_samples,
-                       static_cast<std::uint8_t>(
-                           job_.common.flag_view().size() != 0 ? 1 : 0)};
+  CallReadyMsg ready() {
+    const DegridScrub& scrub = context_.degrid().scrub;
+    return CallReadyMsg{
+        scrub.report.scrubbed(), scrub.report.skipped_samples,
+        static_cast<std::uint8_t>(
+            context_.msg().flag_view().size() != 0 ? 1 : 0)};
   }
 
   void run_shard(const ShardAssignMsg& assign, int out_fd,
                  const std::optional<TestDie>& die, std::int64_t& current) {
-    const Plan& plan = job_.common.plan;
+    const Plan& plan = context_.plan();
+    Context::Degrid& degrid = context_.degrid();
     IDG_CHECK(assign.group_end <= plan.nr_work_groups(),
               "shard assignment exceeds the plan's work groups");
     current = static_cast<std::int64_t>(assign.group_begin);
     RunControl caller;
-    caller.skip_groups = job_.common.skip_groups;
+    caller.skip_groups = msg_.skip_groups;
 
     if (die && die->group >= static_cast<std::int64_t>(assign.group_begin) &&
         die->group < static_cast<std::int64_t>(assign.group_end)) {
@@ -204,94 +261,108 @@ class DegridJobState {
     RunControl ctl;
     ctl.cancel = &token_;
     ctl.skip_groups = mask;
-    if (resilient_ != nullptr) resilient_->reset_report();
-    backend_->degrid(plan, job_.common.uvw.cview(), job_.grid.cview(),
-                     job_.common.flag_view(), job_.common.aterms.cview(),
-                     predicted_.view(), obs::null_sink(), ctl);
-    if (resilient_ != nullptr && !resilient_->report().quarantined.empty()) {
+    if (degrid.resilient != nullptr) degrid.resilient->reset_report();
+    context_.degrid_backend().degrid(
+        plan, context_.msg().uvw.cview(), msg_.grid.cview(),
+        context_.msg().flag_view(), context_.msg().aterms.cview(),
+        degrid.predicted.view(), obs::null_sink(), ctl);
+    if (degrid.resilient != nullptr &&
+        !degrid.resilient->report().quarantined.empty()) {
       // A group the in-worker supervisor had to quarantine must not be
       // silently dropped from the result: fail the shard and let the
       // coordinator's rebalance/quarantine bookkeeping own the decision.
       throw Error(
           "worker exhausted retries on " +
-          std::to_string(resilient_->report().quarantined.size()) +
+          std::to_string(degrid.resilient->report().quarantined.size()) +
           " group(s) of shard " + std::to_string(assign.shard));
     }
 
     for (std::size_t g = assign.group_begin; g < assign.group_end; ++g) {
       current = static_cast<std::int64_t>(g);
       token_.check("shard.worker.degrid", current);
-      GroupResultMsg result;
-      result.group = g;
-      if (scrub_.group_skipped(g) || caller.group_skipped(g)) {
-        result.kind = ResultKind::kSkipped;
-      } else {
+      GroupResultHead result{g, ResultKind::kSkipped, 0};
+      packed_.clear();
+      if (!degrid.scrub.group_skipped(g) && !caller.group_skipped(g)) {
         result.kind = ResultKind::kVisibilities;
-        std::vector<Visibility> packed;
+        // Each (item, timestep) row of channels is contiguous in the cube.
         for (const WorkItem& item : plan.work_group(g)) {
+          const std::size_t row =
+              static_cast<std::size_t>(item.nr_channels) * sizeof(Visibility);
           for (int t = 0; t < item.nr_timesteps; ++t) {
-            for (int c = 0; c < item.nr_channels; ++c) {
-              packed.push_back(predicted_(
-                  static_cast<std::size_t>(item.baseline),
-                  static_cast<std::size_t>(item.time_begin + t),
-                  static_cast<std::size_t>(item.channel_begin + c)));
-            }
+            packed_.append(
+                reinterpret_cast<const char*>(&degrid.predicted(
+                    static_cast<std::size_t>(item.baseline),
+                    static_cast<std::size_t>(item.time_begin + t),
+                    static_cast<std::size_t>(item.channel_begin))),
+                row);
           }
+          result.count += item.nr_visibilities();
         }
-        result.count = packed.size();
-        result.data.assign(reinterpret_cast<const char*>(packed.data()),
-                           packed.size() * sizeof(Visibility));
       }
-      write_frame(out_fd, MsgType::kGroupResult, encode_group_result(result));
+      write_group_result(out_fd, result, packed_);
     }
   }
 
  private:
-  DegridJobMsg job_;
+  Context& context_;
+  DegridCallMsg msg_;
   CancelToken token_;
   CancelScope scope_;
-  DegridScrub scrub_;
-  Array3D<Visibility> predicted_;
-  std::unique_ptr<GridderBackend> backend_;
-  ResilientBackend* resilient_ = nullptr;
+  std::string packed_;  ///< one group's rects, reused across groups
 };
 
 int worker_loop(int in_fd, int out_fd) {
-  const std::optional<TestDie> die = parse_test_die();
+  std::optional<TestDie> die = parse_test_die();
   HelloMsg hello;
   hello.pid = static_cast<std::int32_t>(::getpid());
   write_frame(out_fd, MsgType::kHello, encode_hello(hello));
 
-  std::unique_ptr<GridJobState> grid_job;
-  std::unique_ptr<DegridJobState> degrid_job;
+  // A call refers to its context, so it goes first whenever either changes.
+  std::unique_ptr<Context> context;
+  std::unique_ptr<GridCall> grid_call;
+  std::unique_ptr<DegridCall> degrid_call;
   while (std::optional<Frame> frame = read_frame(in_fd)) {
     switch (frame->type) {
-      case MsgType::kJobGrid:
-        degrid_job.reset();
-        grid_job = std::make_unique<GridJobState>(
-            decode_grid_job(std::move(frame->payload)));
-        write_frame(out_fd, MsgType::kJobReady,
-                    encode_job_ready(grid_job->ready()));
+      case MsgType::kContext:
+        grid_call.reset();
+        degrid_call.reset();
+        context.reset();  // one context in memory at a time
+        context = std::make_unique<Context>(
+            decode_context(std::move(frame->payload)));
         break;
-      case MsgType::kJobDegrid:
-        grid_job.reset();
-        degrid_job = std::make_unique<DegridJobState>(
-            decode_degrid_job(std::move(frame->payload)));
-        write_frame(out_fd, MsgType::kJobReady,
-                    encode_job_ready(degrid_job->ready()));
+      case MsgType::kCallGrid:
+        IDG_CHECK(context != nullptr, "grid call received before a context");
+        grid_call.reset();
+        degrid_call.reset();
+        if (die) ++die->calls;
+        grid_call = std::make_unique<GridCall>(
+            *context, decode_grid_call(std::move(frame->payload)));
+        write_frame(out_fd, MsgType::kCallReady,
+                    encode_call_ready(grid_call->ready()));
+        break;
+      case MsgType::kCallDegrid:
+        IDG_CHECK(context != nullptr,
+                  "degrid call received before a context");
+        grid_call.reset();
+        degrid_call.reset();
+        if (die) ++die->calls;
+        degrid_call = std::make_unique<DegridCall>(
+            *context, decode_degrid_call(std::move(frame->payload)));
+        write_frame(out_fd, MsgType::kCallReady,
+                    encode_call_ready(degrid_call->ready()));
         break;
       case MsgType::kShardAssign: {
         const ShardAssignMsg assign = decode_shard_assign(frame->payload);
-        IDG_CHECK(grid_job != nullptr || degrid_job != nullptr,
-                  "shard assignment received before any job setup");
+        IDG_CHECK(grid_call != nullptr || degrid_call != nullptr,
+                  "shard assignment received before any call");
         ShardErrorMsg error;
         error.shard = assign.shard;
         std::int64_t current = -1;
         try {
-          if (grid_job != nullptr) {
-            grid_job->run_shard(assign, out_fd, die, current);
+          if (grid_call != nullptr) {
+            grid_call->run_shard(assign, out_fd, die, current);
           } else {
-            degrid_job->run_shard(assign, out_fd, die, current);
+            degrid_call->run_shard(assign, out_fd, die, current);
           }
           write_frame(out_fd, MsgType::kShardDone,
                       encode_shard_done(assign.shard));
@@ -308,14 +379,12 @@ int worker_loop(int in_fd, int out_fd) {
         write_frame(out_fd, MsgType::kShardError, encode_shard_error(error));
         break;
       }
-      case MsgType::kShutdown:
-        return 0;
       default:
         throw Error(std::string("shard worker received an unexpected ") +
                     to_string(frame->type) + " frame");
     }
   }
-  return 0;  // coordinator closed the channel: treat like a shutdown
+  return 0;  // the coordinator closed the channel: its shutdown
 }
 
 }  // namespace
@@ -327,6 +396,7 @@ bool is_worker_invocation(int argc, char** argv) {
 int worker_entry(int in_fd, int out_fd) {
   // IDG_FAULT_WORKER replaces inherited arms; fire counts always reset so
   // every (re)spawned worker replays the identical deterministic schedule.
+  // They then last for the worker's lifetime, across all its calls.
   fault::Injector::instance().rearm_for_worker();
   try {
     return worker_loop(in_fd, out_fd);

@@ -10,7 +10,12 @@
 //   4. the failure model: respawn + rebalance after a kill, quarantine of
 //      a poison shard (== the same run with those groups skip-masked),
 //      coordinator-side protocol-fault recovery, and cancellation/drain
-//      semantics (a cancelled run never reports a shard complete).
+//      semantics (a cancelled run never reports a shard complete),
+//   5. the pool that serves a backend's calls: spawned once, workers
+//      replaced after deaths between or within calls, the context shipped
+//      again when it changes, no frame crossing from one call into the
+//      next, survival of the thread that spawned it, and a destructor that
+//      reaps every worker.
 //
 // This binary doubles as its own worker: main() dispatches
 // shard::maybe_run_worker() before gtest sees argv, so the coordinator's
@@ -19,6 +24,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -160,14 +167,14 @@ TEST(ProtocolTest, FramesRoundTripOverASocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   shard::write_frame(sv[0], shard::MsgType::kHello, "payload bytes");
-  shard::write_frame(sv[0], shard::MsgType::kShutdown, "");
+  shard::write_frame(sv[0], shard::MsgType::kShardDone, "");
   auto a = shard::read_frame(sv[1]);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->type, shard::MsgType::kHello);
   EXPECT_EQ(a->payload, "payload bytes");
   auto b = shard::read_frame(sv[1]);
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->type, shard::MsgType::kShutdown);
+  EXPECT_EQ(b->type, shard::MsgType::kShardDone);
   EXPECT_TRUE(b->payload.empty());
   ::close(sv[0]);
   EXPECT_FALSE(shard::read_frame(sv[1]).has_value());  // clean EOF
@@ -231,16 +238,14 @@ TEST(ProtocolTest, SmallMessageCodecsRoundTrip) {
   EXPECT_EQ(a.group_begin, 21u);
   EXPECT_EQ(a.group_end, 34u);
 
-  shard::GroupResultMsg result;
-  result.group = 11;
-  result.kind = shard::ResultKind::kSubgrids;
-  result.count = 3;
-  result.data = std::string("\x01\x02\x00\x03", 4);
-  const auto r = shard::decode_group_result(shard::encode_group_result(result));
+  const shard::GroupResultHead head{11, shard::ResultKind::kSubgrids, 3};
+  const std::string data("\x01\x02\x00\x03", 4);
+  const auto r =
+      shard::decode_group_result(shard::encode_group_result(head, data));
   EXPECT_EQ(r.group, 11u);
   EXPECT_EQ(r.kind, shard::ResultKind::kSubgrids);
   EXPECT_EQ(r.count, 3u);
-  EXPECT_EQ(r.data, result.data);
+  EXPECT_EQ(r.data(), data);
 
   shard::ShardErrorMsg err;
   err.shard = 5;
@@ -256,34 +261,79 @@ TEST(ProtocolTest, SmallMessageCodecsRoundTrip) {
   EXPECT_EQ(shard::decode_shard_done(shard::encode_shard_done(13)), 13u);
 }
 
+/// The bytes write_fn puts on a channel.
+template <typename WriteFn>
+std::string wire_bytes(WriteFn&& write_fn) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  write_fn(sv[0]);
+  ::close(sv[0]);
+  std::string bytes;
+  char buf[4096];
+  ssize_t got = 0;
+  while ((got = ::read(sv[1], buf, sizeof(buf))) > 0) {
+    bytes.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(sv[1]);
+  return bytes;
+}
+
+TEST(ProtocolTest, SealedAndScatteredFramesKeepThePlainFrameBytes) {
+  // A sealed frame carries its CRC from seal_frame, and write_group_result
+  // frames a result from the caller's buffer: both must put the same bytes
+  // on the wire as write_frame over the encoded payload.
+  const std::string payload = "context payload bytes";
+  const std::string plain = wire_bytes([&](int fd) {
+    shard::write_frame(fd, shard::MsgType::kContext, payload);
+  });
+  const shard::SealedFrame sealed =
+      shard::seal_frame(shard::MsgType::kContext, payload);
+  EXPECT_EQ(wire_bytes([&](int fd) { shard::write_frame(fd, sealed); }),
+            plain);
+
+  const shard::GroupResultHead head{5, shard::ResultKind::kVisibilities, 2};
+  const std::string data(64, '\x5a');
+  const std::string encoded = wire_bytes([&](int fd) {
+    shard::write_frame(fd, shard::MsgType::kGroupResult,
+                       shard::encode_group_result(head, data));
+  });
+  EXPECT_EQ(wire_bytes([&](int fd) {
+              shard::write_group_result(fd, head, data);
+            }),
+            encoded);
+  ASSERT_EQ(encoded.size(), 4 + 8 + 20 + data.size() + 4);
+}
+
 TEST(ProtocolTest, GridJobRoundTripsPlanAndArraysBitExactly) {
+  // A gridding job is a context frame plus a grid call frame.
   const auto s = Setup::make();
   std::vector<std::uint8_t> skip(s.plan.nr_work_groups(), 0);
   if (!skip.empty()) skip.front() = 1;
-  const std::string payload = shard::encode_grid_job(
-      s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(), s.ds.flag_view(),
-      s.aterms.cview(), skip, "reference", 2);
-  const shard::GridJobMsg job = shard::decode_grid_job(payload);
+  const shard::ContextMsg context = shard::decode_context(
+      shard::encode_context(s.plan, s.ds.uvw.cview(), s.aterms.cview(),
+                            s.ds.flag_view(), "reference", 2));
+  const shard::GridCallMsg call = shard::decode_grid_call(
+      shard::encode_grid_call(skip, s.ds.visibilities.cview()));
 
-  EXPECT_EQ(job.common.plan.nr_work_groups(), s.plan.nr_work_groups());
-  EXPECT_EQ(job.common.plan.nr_planned_visibilities(),
+  EXPECT_EQ(context.plan.nr_work_groups(), s.plan.nr_work_groups());
+  EXPECT_EQ(context.plan.nr_planned_visibilities(),
             s.plan.nr_planned_visibilities());
-  EXPECT_EQ(job.common.worker_retries, 2u);
-  EXPECT_EQ(job.common.kernel_set, "reference");
-  EXPECT_EQ(job.common.skip_groups, skip);
-  ASSERT_EQ(job.common.uvw.size(), s.ds.uvw.size());
-  EXPECT_EQ(std::memcmp(job.common.uvw.data(), s.ds.uvw.data(),
+  EXPECT_EQ(context.worker_retries, 2u);
+  EXPECT_EQ(context.kernel_set, "reference");
+  EXPECT_EQ(call.skip_groups, skip);
+  ASSERT_EQ(context.uvw.size(), s.ds.uvw.size());
+  EXPECT_EQ(std::memcmp(context.uvw.data(), s.ds.uvw.data(),
                         s.ds.uvw.size() * sizeof(UVW)),
             0);
-  ASSERT_EQ(job.visibilities.size(), s.ds.visibilities.size());
-  EXPECT_EQ(std::memcmp(job.visibilities.data(), s.ds.visibilities.data(),
+  ASSERT_EQ(call.visibilities.size(), s.ds.visibilities.size());
+  EXPECT_EQ(std::memcmp(call.visibilities.data(), s.ds.visibilities.data(),
                         s.ds.visibilities.size() * sizeof(Visibility)),
             0);
   // Work items must come back in their exact stamped order — the merge
   // cursor's bit-identity depends on it.
   for (std::size_t g = 0; g < s.plan.nr_work_groups(); ++g) {
     const auto mine = s.plan.work_group(g);
-    const auto theirs = job.common.plan.work_group(g);
+    const auto theirs = context.plan.work_group(g);
     ASSERT_EQ(mine.size(), theirs.size());
     EXPECT_EQ(std::memcmp(mine.data(), theirs.data(),
                           mine.size() * sizeof(WorkItem)),
@@ -296,19 +346,25 @@ TEST(ProtocolTest, JobCountThatWrapsIsRejectedByName) {
   // byte count to 0: the count must fail by name before it sizes a vector.
   static_assert(sizeof(WorkItem) == 52);
   const auto s = Setup::make();
-  std::string payload = shard::encode_grid_job(
-      s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(), s.ds.flag_view(),
-      s.aterms.cview(), {}, "reference", 0);
+  std::string payload =
+      shard::encode_context(s.plan, s.ds.uvw.cview(), s.aterms.cview(),
+                            s.ds.flag_view(), "reference", 0);
   const std::uint64_t nr_items = std::uint64_t{1} << 62;
   std::memcpy(payload.data() + sizeof(Parameters), &nr_items,
               sizeof(nr_items));  // the item count follows the parameters
-  EXPECT_THROW((void)shard::decode_grid_job(payload), Error);
+  EXPECT_THROW((void)shard::decode_context(payload), Error);
 }
 
-/// Grid and degrid job payloads of a small plan with epsilon set, so that
-/// every Parameters field is in use; small enough to mutate a thousand
-/// times under ASan.
-std::pair<std::string, std::string> small_job_payloads() {
+/// The context, grid call and degrid call payloads of a small plan with
+/// epsilon set, so that every Parameters field is in use; small enough to
+/// mutate a thousand times under ASan.
+struct SmallJob {
+  std::string context;
+  std::string grid_call;
+  std::string degrid_call;
+};
+
+SmallJob small_job_payloads() {
   sim::BenchmarkConfig cfg;
   cfg.nr_stations = 4;
   cfg.nr_timesteps = 8;
@@ -330,52 +386,51 @@ std::pair<std::string, std::string> small_job_payloads() {
       sim::make_identity_aterms(1, cfg.nr_stations, cfg.subgrid_size);
   const Array3D<cfloat> grid(kNrPolarizations, cfg.grid_size, cfg.grid_size);
   const std::vector<std::uint8_t> skip(plan.nr_work_groups(), 0);
-  return {shard::encode_grid_job(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                                 ds.flag_view(), aterms.cview(), skip,
-                                 "optimized", 1),
-          shard::encode_degrid_job(plan, ds.uvw.cview(), grid.cview(),
-                                   ds.flag_view(), aterms.cview(), skip,
-                                   "optimized", 1)};
+  return {shard::encode_context(plan, ds.uvw.cview(), aterms.cview(),
+                                ds.flag_view(), "optimized", 1),
+          shard::encode_grid_call(skip, ds.visibilities.cview()),
+          shard::encode_degrid_call(skip, grid.cview())};
 }
 
 TEST(ProtocolTest, CorruptEpsilonFlagIsRejectedByName) {
   // Parameters travel as their object bytes. The engaged flag of
   // `epsilon` is a bool, which may hold only 0 or 1.
-  std::string payload = small_job_payloads().first;
+  std::string payload = small_job_payloads().context;
   const std::size_t flag = offsetof(Parameters, epsilon) + sizeof(double);
   ASSERT_EQ(payload[flag], 1);  // the payload carries epsilon = 0.1
-  EXPECT_NO_THROW((void)shard::decode_grid_job(payload));
+  EXPECT_NO_THROW((void)shard::decode_context(payload));
   payload[flag] = 2;
-  EXPECT_THROW((void)shard::decode_grid_job(payload), Error);
+  EXPECT_THROW((void)shard::decode_context(payload), Error);
 }
 
 TEST(ProtocolTest, MutatedJobsDecodeOrFailByName) {
-  // decode_grid_job/decode_degrid_job see a payload after read_frame has
-  // checked its CRC, so a mutated payload is a mutated frame with its CRC
-  // recomputed.
-  const auto [grid_job, degrid_job] = small_job_payloads();
+  // The decoders see a payload after read_frame has checked its CRC, so a
+  // mutated payload is a mutated frame with its CRC recomputed. Every
+  // frame a job is made of is mutated: the context and both call frames.
+  const SmallJob job = small_job_payloads();
   test::Mutator mutator(20261019);
-  const auto consistent = [](const shard::JobCommon& common) {
-    return test::consistent(common.uvw) && test::consistent(common.aterms) &&
-           test::consistent(common.flags);
-  };
   int decoded = 0;
   for (int round = 0; round < 1000; ++round) {
     decoded += test::decodes([&] {
-      const auto job = shard::decode_grid_job(mutator.mutate(grid_job));
-      EXPECT_TRUE(consistent(job.common) &&
-                  test::consistent(job.visibilities))
+      const auto context = shard::decode_context(mutator.mutate(job.context));
+      EXPECT_TRUE(test::consistent(context.uvw) &&
+                  test::consistent(context.aterms) &&
+                  test::consistent(context.flags))
           << "round " << round;
     });
     decoded += test::decodes([&] {
-      const auto job = shard::decode_degrid_job(mutator.mutate(degrid_job));
-      EXPECT_TRUE(consistent(job.common) && test::consistent(job.grid))
-          << "round " << round;
+      const auto call = shard::decode_grid_call(mutator.mutate(job.grid_call));
+      EXPECT_TRUE(test::consistent(call.visibilities)) << "round " << round;
+    });
+    decoded += test::decodes([&] {
+      const auto call =
+          shard::decode_degrid_call(mutator.mutate(job.degrid_call));
+      EXPECT_TRUE(test::consistent(call.grid)) << "round " << round;
     });
   }
   // Both outcomes occur, or the mutations reach nothing.
   EXPECT_GT(decoded, 0);
-  EXPECT_LT(decoded, 2000);
+  EXPECT_LT(decoded, 3000);
 }
 
 // --- 2. shard planner --------------------------------------------------------
@@ -714,6 +769,273 @@ TEST(ShardCancelTest, SigtermDrainsBothBackendsWithinDeadline) {
     EXPECT_LT(elapsed, std::chrono::seconds(10)) << name;
   }
   shard::reset_drain();
+}
+
+// --- 6. a pool that serves many calls ----------------------------------------
+
+/// True once `pid` is neither running nor a zombie: its parent reaped it.
+bool reaped(int pid) { return ::kill(pid, 0) == -1 && errno == ESRCH; }
+
+TEST(ShardPoolTest, FiveCallsSpawnEachWorkerOnce) {
+  // grid, grid, degrid, grid, degrid on one 2-worker backend: the pool is
+  // spawned by the first call and serves the other four.
+  const auto s = Setup::make();
+  const Processor reference(s.params);
+  const auto expected_grid = s.grid_with(reference);
+  const auto expected_vis = s.degrid_with(reference, expected_grid);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  for (const char* call : {"grid", "grid", "degrid", "grid", "degrid"}) {
+    if (std::string(call) == "grid") {
+      EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded))) << call;
+    } else {
+      EXPECT_TRUE(
+          bit_identical(expected_vis, s.degrid_with(sharded, expected_grid)))
+          << call;
+    }
+  }
+  const auto report = sharded.report();
+  EXPECT_EQ(report.counters.workers_spawned, 2u);
+  EXPECT_EQ(report.counters.workers_respawned, 0u);
+  EXPECT_EQ(sharded.worker_pids().size(), 2u);
+}
+
+TEST(ShardPoolTest, WorkerKilledBetweenCallsIsReplacedBitIdentically) {
+  const auto s = Setup::make();
+  const Processor reference(s.params);
+  const auto expected = s.grid_with(reference);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  ASSERT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  const std::vector<int> before = sharded.worker_pids();
+  ASSERT_EQ(before.size(), 2u);
+  ASSERT_EQ(::kill(before[0], SIGKILL), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  EXPECT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  const auto report = sharded.report();
+  EXPECT_EQ(report.counters.workers_spawned, 2u);
+  EXPECT_EQ(report.counters.workers_respawned, 1u);
+  const std::vector<int> after = sharded.worker_pids();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_NE(after[0], before[0]);  // replaced in its slot
+  EXPECT_EQ(after[1], before[1]);  // the survivor served both calls
+  EXPECT_TRUE(reaped(before[0]));
+
+  // A death noticed while the worker has no shard (a one-group call keeps
+  // slot 1 idle) empties its slot; the next call that wants two workers
+  // refills it.
+  ASSERT_EQ(::kill(after[1], SIGKILL), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto one = Setup::make();
+  const auto group = s.plan.work_group(0);
+  std::size_t nr_vis = 0;
+  for (const WorkItem& item : group) nr_vis += item.nr_visibilities();
+  one.plan = Plan::from_parts(
+      s.params, std::vector<WorkItem>(group.begin(), group.end()),
+      std::vector<float>(s.plan.wavenumbers().begin(),
+                         s.plan.wavenumbers().end()),
+      nr_vis, 0);
+  EXPECT_TRUE(bit_identical(one.grid_with(reference), one.grid_with(sharded)));
+  EXPECT_EQ(sharded.worker_pids().size(), 1u);
+  EXPECT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  EXPECT_EQ(sharded.report().counters.workers_respawned, 2u);
+  EXPECT_EQ(sharded.worker_pids().size(), 2u);
+  EXPECT_TRUE(reaped(after[1]));
+}
+
+TEST(ShardPoolTest, WorkerKilledMidShardInItsSecondCallIsReplaced) {
+  // "2@2": the first worker to reach group 2 in its own second call dies.
+  // Both workers serve the first call, so the one that dies has served an
+  // earlier call and holds its context.
+  const auto s = Setup::make();
+  ASSERT_GT(s.plan.nr_work_groups(), 3u);
+  const Processor reference(s.params);
+  const auto expected_grid = s.grid_with(reference);
+  const auto expected_vis = s.degrid_with(reference, expected_grid);
+
+  const std::string marker = temp_path("shard_die_second_call");
+  std::remove(marker.c_str());
+  EnvGuard die("IDG_SHARD_TEST_DIE", "2@2:" + marker);
+  shard::ShardedBackend sharded(s.params, config_for(2, 4));
+  EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)));
+  EXPECT_NE(::access(marker.c_str(), F_OK), 0) << "died in its first call";
+  EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
+
+  EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)))
+      << "grid diverged after a mid-shard SIGKILL in a later call";
+  EXPECT_EQ(::access(marker.c_str(), F_OK), 0);
+  EXPECT_TRUE(
+      bit_identical(expected_vis, s.degrid_with(sharded, expected_grid)));
+  const auto report = sharded.report();
+  EXPECT_EQ(report.counters.workers_spawned, 2u);
+  EXPECT_EQ(report.counters.workers_respawned, 1u);
+  EXPECT_GE(report.counters.shards_rebalanced, 1u);
+  EXPECT_EQ(report.groups_quarantined, 0u);
+  std::remove(marker.c_str());
+}
+
+TEST(ShardPoolTest, ChangedUvwOrATermBetweenCallsReachesTheWorkers) {
+  // One uvw sample, then one A-term pixel, changes between calls. The
+  // workers hold the old context, so the coordinator must notice the change
+  // and ship the new one: each call gives the Processor's bytes for its
+  // own inputs, which differ from the previous call's.
+  auto s = Setup::make();
+  const Processor reference(s.params);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  const auto first = s.grid_with(reference);
+  ASSERT_TRUE(bit_identical(first, s.grid_with(sharded)));
+
+  const WorkItem& item = s.plan.items().front();
+  s.ds.uvw(static_cast<std::size_t>(item.baseline),
+           static_cast<std::size_t>(item.time_begin))
+      .u += 0.5f;
+  const auto moved = s.grid_with(reference);
+  ASSERT_FALSE(bit_identical(first, moved)) << "the change must show";
+  EXPECT_TRUE(bit_identical(moved, s.grid_with(sharded)))
+      << "workers gridded a stale uvw";
+
+  const auto vis_before = s.degrid_with(reference, moved);
+  ASSERT_TRUE(bit_identical(vis_before, s.degrid_with(sharded, moved)));
+  s.aterms(0, static_cast<std::size_t>(item.station1), 3, 5).xx *= 1.5f;
+  const auto vis_after = s.degrid_with(reference, moved);
+  ASSERT_FALSE(bit_identical(vis_before, vis_after)) << "the change must show";
+  EXPECT_TRUE(bit_identical(vis_after, s.degrid_with(sharded, moved)))
+      << "workers degridded with a stale A-term";
+  EXPECT_EQ(sharded.report().counters.workers_spawned, 2u);
+}
+
+TEST(ShardPoolTest, ReRunStillInFlightNeverReachesTheNextCall) {
+  // Two shards; the first worker to reach the last group of shard 0 dies
+  // after delivering the groups before it, so shard 0 re-runs on a
+  // replacement that delivers those groups again. When the call's last
+  // group lands, a worker may still be re-running or about to report its
+  // shard done. The call must wait for it (or kill it): whatever it sends
+  // belongs to this call, and the later calls must see none of it.
+  const auto s = Setup::make();
+  const std::vector<shard::ShardRange> shards = shard::plan_shards(s.plan, 2);
+  ASSERT_EQ(shards.size(), 2u);
+  ASSERT_GT(shards[0].nr_groups(), 1u);
+  const Processor reference(s.params);
+  const auto expected_grid = s.grid_with(reference);
+  const auto expected_vis = s.degrid_with(reference, expected_grid);
+
+  const auto check_later_calls = [&](const shard::ShardedBackend& sharded) {
+    const auto before = sharded.report();
+    EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)));
+    EXPECT_TRUE(
+        bit_identical(expected_vis, s.degrid_with(sharded, expected_grid)));
+    const auto after = sharded.report();
+    // Two clean calls: two shards dispatched and completed each, no
+    // worker replaced and nothing rebalanced.
+    EXPECT_EQ(after.counters.shards_dispatched -
+                  before.counters.shards_dispatched,
+              4u);
+    EXPECT_EQ(after.shards_completed - before.shards_completed, 4u);
+    EXPECT_EQ(after.counters.workers_respawned,
+              before.counters.workers_respawned);
+    EXPECT_EQ(after.counters.shards_rebalanced,
+              before.counters.shards_rebalanced);
+  };
+
+  {
+    const std::string marker = temp_path("shard_die_rerun");
+    std::remove(marker.c_str());
+    EnvGuard die("IDG_SHARD_TEST_DIE",
+                 std::to_string(shards[0].group_end - 1) + ":" + marker);
+    shard::ShardedBackend sharded(s.params, config_for(2, 2));
+    EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)));
+    const auto report = sharded.report();
+    EXPECT_EQ(report.counters.workers_respawned, 1u);
+    EXPECT_EQ(report.counters.shards_rebalanced, 1u);
+    // The killed attempt never completes; both shards do, the re-run
+    // included, before the call returns.
+    EXPECT_EQ(report.shards_completed, 2u);
+    EXPECT_EQ(::access(marker.c_str(), F_OK), 0);
+    check_later_calls(sharded);
+    std::remove(marker.c_str());
+  }
+
+  if (fault::compiled_in()) {
+    // The coordinator's first read of a shard-done frame fails, so that
+    // worker counts as dead although it delivered its whole shard: the
+    // shard re-runs as nothing but duplicates, most likely still running
+    // when the other worker's last group lands.
+    DisarmGuard disarm_guard;
+    fault::Injector::instance().arm_from_spec(
+        "shard.protocol.read@" +
+        std::to_string(static_cast<int>(shard::MsgType::kShardDone)) +
+        "=throw:1");
+    shard::ShardedBackend sharded(s.params, config_for(2, 2));
+    EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)));
+    EXPECT_EQ(sharded.report().counters.workers_respawned, 1u);
+    check_later_calls(sharded);
+  }
+}
+
+TEST(ShardPoolTest, PoolOutlivesTheThreadOfItsFirstCall) {
+  // PR_SET_PDEATHSIG fires when the thread that forked a worker exits. The
+  // first call runs on a thread that then ends; the pool must still serve
+  // the next call, from another thread, with the same workers.
+  const auto s = Setup::make();
+  const Processor reference(s.params);
+  const auto expected = s.grid_with(reference);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  Array3D<cfloat> first;
+  std::thread caller([&] { first = s.grid_with(sharded); });
+  caller.join();
+  EXPECT_TRUE(bit_identical(expected, first));
+  const std::vector<int> pids = sharded.worker_pids();
+  ASSERT_EQ(pids.size(), 2u);
+  // A parent-death signal would be on its way by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (const int pid : pids) {
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, WNOHANG), 0) << "worker " << pid
+                                                    << " died with the thread";
+  }
+
+  EXPECT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  EXPECT_EQ(sharded.worker_pids(), pids);
+  EXPECT_EQ(sharded.report().counters.workers_spawned, 2u);
+  EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
+}
+
+TEST(ShardPoolTest, CallEndedByExceptionKillsThePoolAndTheNextRespawnsIt) {
+  const auto s = Setup::make();
+  const Processor reference(s.params);
+  const auto expected = s.grid_with(reference);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  ASSERT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  const std::vector<int> pids = sharded.worker_pids();
+  ASSERT_EQ(pids.size(), 2u);
+
+  CancelToken cancelled;
+  cancelled.request_cancel();
+  RunControl ctl;
+  ctl.cancel = &cancelled;
+  EXPECT_THROW((void)s.grid_with(sharded, obs::null_sink(), ctl),
+               CancelledError);
+  EXPECT_TRUE(sharded.worker_pids().empty());
+  for (const int pid : pids) EXPECT_TRUE(reaped(pid)) << pid;
+
+  EXPECT_TRUE(bit_identical(expected, s.grid_with(sharded)));
+  EXPECT_EQ(sharded.report().counters.workers_spawned, 4u);
+}
+
+TEST(ShardPoolTest, DestructorReapsEveryWorkerEvenAWedgedOne) {
+  // One worker is stopped, so it can never read its closed channel: the
+  // destructor must give up waiting on it, SIGKILL it and reap it.
+  const auto s = Setup::make();
+  auto sharded =
+      std::make_unique<shard::ShardedBackend>(s.params, config_for(2));
+  (void)s.grid_with(*sharded);
+  const std::vector<int> pids = sharded->worker_pids();
+  ASSERT_EQ(pids.size(), 2u);
+  ASSERT_EQ(::kill(pids[0], SIGSTOP), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  sharded.reset();
+  const auto teardown = std::chrono::steady_clock::now() - t0;
+  for (const int pid : pids) EXPECT_TRUE(reaped(pid)) << "worker " << pid;
+  EXPECT_LT(teardown, std::chrono::seconds(5));
 }
 
 // --- respawn backoff --------------------------------------------------------
