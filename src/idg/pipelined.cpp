@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,10 +14,7 @@
 #include "common/threadpool.hpp"
 #include "idg/accounting.hpp"
 #include "idg/adder.hpp"
-#include "idg/processor.hpp"
 #include "idg/scrub.hpp"
-#include "idg/subgrid_fft.hpp"
-#include "idg/taper.hpp"
 #include "obs/perfcounters.hpp"
 #include "obs/span.hpp"
 
@@ -31,6 +27,13 @@ struct Ticket {
   std::size_t buffer = 0;
   std::size_t seq = 0;  ///< dispatch order; skipped groups take none
 };
+
+/// The pipelined executor's fault and cancel sites in the group steps.
+constexpr GridSites kPipelinedGridSites{
+    "pipelined.grid.kernel", "pipelined.grid.fft", "pipelined.grid.buffer"};
+constexpr DegridSites kPipelinedDegridSites{"pipelined.degrid.splitter",
+                                            "pipelined.degrid.fft",
+                                            "pipelined.degrid.kernel"};
 
 /// Adder-stage pool size when the caller passes 0: a small slice of the
 /// CPUs this process may use — the kernel streams' OpenMP teams remain the
@@ -102,33 +105,42 @@ void dispatch_groups(std::size_t nr_groups, const Skipped& skipped,
     if (!to_kernel.push({g, buffer, seq++})) return;
   }
 }
+
+/// The rotating buffer pool (the paper's three device buffer sets). RAII:
+/// released on every exit path, including a failed run.
+std::vector<Array4D<cfloat>> make_buffers(const Parameters& params,
+                                          std::size_t count) {
+  std::vector<Array4D<cfloat>> buffers;
+  buffers.reserve(count);
+  for (std::size_t b = 0; b < count; ++b) {
+    buffers.push_back(make_group_subgrids(params));
+  }
+  return buffers;
+}
 }  // namespace
 
-PipelinedGridder::PipelinedGridder(Parameters params, const KernelSet& kernels,
-                                   std::size_t nr_buffers,
-                                   std::size_t nr_adder_threads)
-    : params_(params),
-      kernels_(&kernels),
+PipelinedProcessor::PipelinedProcessor(Parameters params,
+                                       const KernelSet& kernels,
+                                       std::size_t nr_buffers,
+                                       std::size_t nr_adder_threads)
+    : processor_(params, kernels),
       nr_buffers_(nr_buffers),
       nr_adder_threads_(nr_adder_threads == 0 ? default_adder_threads()
-                                              : nr_adder_threads),
-      taper_(make_taper_for(params)) {
-  params_.validate();
+                                              : nr_adder_threads) {
   IDG_CHECK(nr_buffers_ >= 2, "pipelining needs at least two buffers");
 }
 
-void PipelinedGridder::grid_visibilities(const Plan& plan,
-                                         ArrayView<const UVW, 2> uvw,
-                                         ArrayView<const Visibility, 3> visibilities,
-                                         FlagView flags,
-                                         ArrayView<const Jones, 4> aterms,
-                                         ArrayView<cfloat, 3> grid,
-                                         obs::MetricsSink& sink,
-                                         const RunControl& ctl_in) const {
-  check_grid_stack(params_, plan.items(), grid);
-  const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
+void PipelinedProcessor::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                              ArrayView<const Visibility, 3> visibilities,
+                              FlagView flags,
+                              ArrayView<const Jones, 4> aterms,
+                              ArrayView<cfloat, 3> grid,
+                              obs::MetricsSink& sink,
+                              const RunControl& ctl_in) const {
+  const Parameters& params = parameters();
+  check_grid_stack(params, plan.items(), grid);
+  const ScopedRunControl scoped(ctl_in, params.deadline_ms);
   const RunControl& ctl = scoped.ctl();
-  const std::size_t n = params_.subgrid_size;
   const std::size_t nr_groups = plan.nr_work_groups();
   if (nr_groups == 0) return;
 
@@ -137,27 +149,19 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
   // only ever see a clean cube, and skipped groups are never dispatched.
   const ScrubbedVisibilities scrubbed = [&] {
     obs::Span span(sink, stage::kScrub);
-    return scrub_gridder_input(params_, plan, visibilities, flags, ctl.cancel);
+    return scrub_gridder_input(params, plan, visibilities, flags, ctl.cancel);
   }();
   sink.record_data_quality(stage::kScrub, scrubbed.report().scrubbed(),
                            scrubbed.report().skipped_samples);
   const ArrayView<const Visibility, 3> vis = scrubbed.view();
 
-  // The rotating buffer pool (the paper's three device buffer sets). RAII:
-  // released on every exit path, including a failed run.
-  std::vector<Array4D<cfloat>> buffers;
-  buffers.reserve(nr_buffers_);
-  for (std::size_t b = 0; b < nr_buffers_; ++b) {
-    buffers.emplace_back(params_.work_group_size,
-                         static_cast<std::size_t>(kNrPolarizations), n, n);
-  }
-  // Per-subgrid float count, used by the fault-injection hooks below (which
-  // compile to no-ops unless IDG_FAULT_INJECTION is on).
+  std::vector<Array4D<cfloat>> buffers = make_buffers(params, nr_buffers_);
+  // Per-subgrid float count, used by the fault-injection guard below
+  // (which compiles to a no-op unless IDG_FAULT_INJECTION is on).
   [[maybe_unused]] const std::size_t active_floats =
-      static_cast<std::size_t>(kNrPolarizations) * n * n * 2;
-
-  check_aterm_raster(aterms, n);
-  KernelData data{uvw, plan.wavenumbers(), aterms, taper_.cview()};
+      static_cast<std::size_t>(kNrPolarizations) * params.subgrid_size *
+      params.subgrid_size * 2;
+  const KernelData data = processor_.kernel_data(plan, uvw, aterms);
 
   // Queues between the stages; free_buffers recycles finished buffers back
   // to the head of the pipeline (the CUDA-event "input buffer may be
@@ -182,41 +186,27 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
     to_adder.close_with_error();
   };
 
-  // Stage X, the kernel streams: gridder kernel + subgrid FFT per work
-  // group, several groups at once. Every stream records its spans directly
-  // into the shared sink (thread-safe).
+  // Stage X, the kernel streams: the Processor's gridding step per work
+  // group, several groups at once. The step names its own stage on
+  // failure; every stream records its spans directly into the shared sink
+  // (thread-safe).
   const auto kernel_stream = [&] {
-    const char* site = stage::kGridder;
     std::int64_t group = -1;
     try {
       Ticket ticket;
       while (to_kernel.pop(ticket)) {
-        const auto items = plan.work_group(ticket.group);
         group = static_cast<std::int64_t>(ticket.group);
-        ctl.check_cancel("pipelined.grid.kernel", group);
-        {
-          site = stage::kGridder;
-          obs::Span span(sink, stage::kGridder, group);
-          IDG_FAULT_POINT("pipelined.grid.kernel", group);
-          kernels_->grid(params_, data, items, vis,
-                         buffers[ticket.buffer].view());
-        }
-        {
-          site = stage::kSubgridFft;
-          obs::Span span(sink, stage::kSubgridFft, group);
-          IDG_FAULT_POINT("pipelined.grid.fft", group);
-          subgrid_fft(SubgridFftDirection::ToFourier,
-                      buffers[ticket.buffer].view(), items.size());
-        }
-        IDG_FAULT_CORRUPT(
-            "pipelined.grid.buffer", group,
-            reinterpret_cast<float*>(buffers[ticket.buffer].data()),
-            items.size() * active_floats);
-        IDG_FAULT_POINT("pipelined.grid.push", group);
+        processor_.grid_group_subgrids(plan, ticket.group, data, vis,
+                                       buffers[ticket.buffer].view(), sink,
+                                       ctl, kPipelinedGridSites);
+        // The hand-off to the adder ends the FFT stage.
+        with_stage_context(stage::kSubgridFft, group, [&] {
+          IDG_FAULT_POINT("pipelined.grid.push", group);
+        });
         if (!to_adder.push(ticket)) break;
       }
     } catch (...) {
-      fail(site, group);
+      fail(stage::kGridder, group);
     }
   };
 
@@ -254,7 +244,7 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
           ctl.check_cancel("pipelined.grid.adder", group);
           IDG_FAULT_GUARD_FINITE(
               "pipelined.grid.adder", group,
-              reinterpret_cast<const float*>(buffers[ticket.buffer].data()),
+              reinterpret_cast<const float*>(subgrids.data()),
               items.size() * active_floats);
           {
             obs::Span span(sink, stage::kAdder, group);
@@ -262,12 +252,12 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
             adder_pool.parallel_for(
                 binning.nr_tiles(),
                 [&](std::size_t tile) {
-                  add_tile(params_, items, binning, tile, subgrids, grid);
+                  add_tile(params, items, binning, tile, subgrids, grid);
                 },
                 ctl.cancel);
           }
           sink.record_bytes(stage::kAdder,
-                            adder_moved_bytes(params_, items.size()));
+                            adder_moved_bytes(params, items.size()));
           if (!free_buffers.push(ticket.buffer)) return;
         }
       }
@@ -302,26 +292,17 @@ void PipelinedGridder::grid_visibilities(const Plan& plan,
   sink.record_ops(stage::kAdder, adder_op_counts(plan));
 }
 
-PipelinedDegridder::PipelinedDegridder(Parameters params,
-                                       const KernelSet& kernels,
-                                       std::size_t nr_buffers)
-    : params_(params),
-      kernels_(&kernels),
-      nr_buffers_(nr_buffers),
-      taper_(make_taper_for(params)) {
-  params_.validate();
-  IDG_CHECK(nr_buffers_ >= 2, "pipelining needs at least two buffers");
-}
-
-void PipelinedDegridder::degrid_visibilities(
-    const Plan& plan, ArrayView<const UVW, 2> uvw,
-    ArrayView<const cfloat, 3> grid, FlagView flags,
-    ArrayView<const Jones, 4> aterms, ArrayView<Visibility, 3> visibilities,
-    obs::MetricsSink& sink, const RunControl& ctl_in) const {
-  check_grid_stack(params_, plan.items(), grid);
-  const ScopedRunControl scoped(ctl_in, params_.deadline_ms);
+void PipelinedProcessor::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                                ArrayView<const cfloat, 3> grid,
+                                FlagView flags,
+                                ArrayView<const Jones, 4> aterms,
+                                ArrayView<Visibility, 3> visibilities,
+                                obs::MetricsSink& sink,
+                                const RunControl& ctl_in) const {
+  const Parameters& params = parameters();
+  check_grid_stack(params, plan.items(), grid);
+  const ScopedRunControl scoped(ctl_in, params.deadline_ms);
   const RunControl& ctl = scoped.ctl();
-  const std::size_t n = params_.subgrid_size;
   const std::size_t nr_groups = plan.nr_work_groups();
   if (nr_groups == 0) return;
 
@@ -329,21 +310,11 @@ void PipelinedDegridder::degrid_visibilities(
   DegridScrub scrubbed;
   if (flags.size() != 0) {
     obs::Span span(sink, stage::kScrub);
-    scrubbed = scrub_degrid_plan(params_, plan, flags);
-  }
-  const bool zero_flagged =
-      flags.size() != 0 &&
-      params_.bad_sample_policy == BadSamplePolicy::kZeroAndContinue;
-
-  std::vector<Array4D<cfloat>> buffers;
-  buffers.reserve(nr_buffers_);
-  for (std::size_t b = 0; b < nr_buffers_; ++b) {
-    buffers.emplace_back(params_.work_group_size,
-                         static_cast<std::size_t>(kNrPolarizations), n, n);
+    scrubbed = scrub_degrid_plan(params, plan, flags);
   }
 
-  check_aterm_raster(aterms, n);
-  KernelData data{uvw, plan.wavenumbers(), aterms, taper_.cview()};
+  std::vector<Array4D<cfloat>> buffers = make_buffers(params, nr_buffers_);
+  const KernelData data = processor_.kernel_data(plan, uvw, aterms);
 
   BoundedQueue<std::size_t> free_buffers(nr_buffers_);
   BoundedQueue<Ticket> to_kernel(nr_buffers_);
@@ -358,56 +329,27 @@ void PipelinedDegridder::degrid_visibilities(
     to_kernel.close_with_error();
   };
 
-  // The kernel streams: splitter (reads the immutable grid into the
-  // group's buffer) -> subgrid IFFT -> degridder kernel per work group,
-  // polling the cancel token before each stage so a deadline that expires
-  // mid-group is seen at the next stage. Disjoint (baseline, time, channel)
-  // blocks per work item make concurrent writes to `visibilities`
-  // race-free, across streams as within one — the same disjointness makes
-  // the per-group flag zeroing race-free.
+  // The kernel streams: the Processor's degridding step per work group,
+  // which polls the cancel token before each stage so a deadline that
+  // expires mid-group is seen at the next stage. Disjoint (baseline, time,
+  // channel) blocks per work item make concurrent writes to
+  // `visibilities` race-free, across streams as within one — the same
+  // disjointness makes the per-group flag zeroing race-free.
   std::atomic<std::uint64_t> zeroed{0};
   const auto kernel_stream = [&] {
-    const char* site = stage::kSplitter;
     std::int64_t group = -1;
     try {
       Ticket ticket;
       while (to_kernel.pop(ticket)) {
-        const auto items = plan.work_group(ticket.group);
         group = static_cast<std::int64_t>(ticket.group);
-        ctl.check_cancel("pipelined.degrid.splitter", group);
-        {
-          site = stage::kSplitter;
-          obs::Span span(sink, stage::kSplitter, group);
-          IDG_FAULT_POINT("pipelined.degrid.splitter", group);
-          split_subgrids_from_grid(params_, items,
-                                   plan.work_group_tiles(ticket.group), grid,
-                                   buffers[ticket.buffer].view());
-        }
-        sink.record_bytes(stage::kSplitter,
-                          splitter_moved_bytes(params_, items.size()));
-        ctl.check_cancel("pipelined.degrid.fft", group);
-        {
-          site = stage::kSubgridFft;
-          obs::Span span(sink, stage::kSubgridFft, group);
-          IDG_FAULT_POINT("pipelined.degrid.fft", group);
-          subgrid_fft(SubgridFftDirection::ToImage,
-                      buffers[ticket.buffer].view(), items.size());
-        }
-        ctl.check_cancel("pipelined.degrid.kernel", group);
-        {
-          site = stage::kDegridder;
-          obs::Span span(sink, stage::kDegridder, group);
-          IDG_FAULT_POINT("pipelined.degrid.kernel", group);
-          kernels_->degrid(params_, data, items,
-                           buffers[ticket.buffer].cview(), visibilities);
-        }
-        if (zero_flagged) {
-          zeroed += zero_flagged_outputs(items, flags, visibilities);
-        }
+        zeroed += processor_.degrid_group(
+            plan, ticket.group, data, grid, flags,
+            buffers[ticket.buffer].view(), visibilities, sink, ctl,
+            kPipelinedDegridSites);
         if (!free_buffers.push(ticket.buffer)) break;
       }
     } catch (...) {
-      fail(site, group);
+      fail(stage::kSplitter, group);
     }
   };
 
@@ -438,12 +380,5 @@ void PipelinedDegridder::degrid_visibilities(
   sink.record_ops(stage::kSubgridFft, subgrid_fft_op_counts(plan));
   sink.record_ops(stage::kDegridder, degridder_op_counts(plan));
 }
-
-PipelinedProcessor::PipelinedProcessor(Parameters params,
-                                       const KernelSet& kernels,
-                                       std::size_t nr_buffers,
-                                       std::size_t nr_adder_threads)
-    : gridder_(params, kernels, nr_buffers, nr_adder_threads),
-      degridder_(params, kernels, nr_buffers) {}
 
 }  // namespace idg

@@ -6,14 +6,16 @@
 // streams, synchronized with events, with three buffer sets so a stage can
 // start on work group k+1 while the next stage still holds k.
 //
-// This module reproduces that execution structure on the CPU with pipeline
-// stages connected by bounded queues over a rotating pool of subgrid
-// buffers:
+// `PipelinedProcessor` reproduces that execution structure on the CPU. It
+// holds one synchronous `Processor` and schedules that processor's group
+// steps (idg/processor.hpp) differently: pipeline stages connected by
+// bounded queues over a rotating pool of subgrid buffers,
 //
 //   stage L ("HtoD", the calling thread): hand a free buffer to the next
 //     work group, in group order;
-//   stage X ("kernel"), the kernel streams: gridder kernel + subgrid FFT,
-//     or splitter + subgrid IFFT + degridder kernel;
+//   stage X ("kernel"), the kernel streams: Processor::grid_group_subgrids
+//     (gridder kernel + subgrid FFT) or Processor::degrid_group (splitter +
+//     subgrid IFFT + degridder kernel + flagged-output zeroing);
 //   stage S ("DtoH", gridding only): adder into the grid.
 //
 // Stage X runs as several kernel streams, the CPU counterpart of the
@@ -29,11 +31,12 @@
 // without atomics (see adder.hpp). Degridding needs no stage S: work items
 // own disjoint visibilities, so the streams write them directly.
 //
-// The output is bit-identical to the synchronous Processor (verified by
-// tests). The buffer pool size (default 3 = triple buffering) bounds
-// memory exactly like the paper's three device buffer sets. All threads
-// record their spans into one shared obs::MetricsSink, so the aggregated
-// per-stage view is directly comparable to the synchronous Processor's.
+// The stages are the synchronous Processor's own code, so the output is
+// bit-identical to it (verified by tests). The buffer pool size (default
+// 3 = triple buffering) bounds memory exactly like the paper's three
+// device buffer sets. All threads record their spans into one shared
+// obs::MetricsSink, so the aggregated per-stage view is directly
+// comparable to the synchronous Processor's.
 #pragma once
 
 #include <atomic>
@@ -53,6 +56,7 @@
 #include "idg/kernels.hpp"
 #include "idg/parameters.hpp"
 #include "idg/plan.hpp"
+#include "idg/processor.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
@@ -239,9 +243,10 @@ class PipelineError {
   /// Rethrows the stored failure as idg::StageFailure with the stage site
   /// and work-group id prepended (and available structurally, for the
   /// resilient supervisor's retry/quarantine decisions); no-op when
-  /// nothing failed. A CancelledError is rethrown unchanged: a deadline
-  /// abort that unwound a stage thread is a cancellation, not a stage
-  /// failure, and must never look retryable.
+  /// nothing failed. A StageFailure — what a Processor group step raises,
+  /// already naming its stage and group — and a CancelledError are
+  /// rethrown unchanged: a deadline abort that unwound a stage thread is a
+  /// cancellation, not a stage failure, and must never look retryable.
   void rethrow_if_failed() const {
     std::exception_ptr error;
     const char* site = nullptr;
@@ -261,6 +266,8 @@ class PipelineError {
       std::rethrow_exception(error);
     } catch (const CancelledError&) {
       throw;
+    } catch (const StageFailure&) {
+      throw;
     } catch (const std::exception& e) {
       throw StageFailure(oss.str() + e.what(), site, group);
     } catch (...) {
@@ -276,89 +283,14 @@ class PipelineError {
   std::atomic<bool> failed_{false};
 };
 
-/// Pipelined gridding executor; results are identical to
-/// Processor::grid_visibilities.
-class PipelinedGridder {
+/// The asynchronous execution backend: the synchronous Processor's group
+/// steps, scheduled on kernel streams over a rotating buffer pool. Results
+/// are identical to Processor::grid_visibilities / degrid_visibilities.
+class PipelinedProcessor : public GridderBackend {
  public:
   /// `nr_buffers` = 3 reproduces the paper's triple buffering.
   /// `nr_adder_threads` sizes the adder stage's worker pool (including the
   /// consumer thread itself); 0 picks a small machine-dependent default.
-  PipelinedGridder(Parameters params,
-                   const KernelSet& kernels = reference_kernels(),
-                   std::size_t nr_buffers = 3,
-                   std::size_t nr_adder_threads = 0);
-
-  const Parameters& parameters() const { return params_; }
-
-  /// Grids all planned visibilities; the kernel streams and the adder
-  /// thread record their spans concurrently into `sink` (thread-safe
-  /// accumulation). Flagged /
-  /// non-finite samples are scrubbed up front (on the calling thread) per
-  /// Parameters::bad_sample_policy; a stage failure closes every queue,
-  /// joins the threads and rethrows as a descriptive idg::StageFailure.
-  /// `ctl` carries the run's CancelToken (polled per ticket in every stage
-  /// thread and per poll interval in the dispatch wait loop — a deadline
-  /// abort surfaces as CancelledError within bounded time) and the
-  /// supervisor's work-group skip mask.
-  void grid_visibilities(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                         ArrayView<const Visibility, 3> visibilities,
-                         FlagView flags, ArrayView<const Jones, 4> aterms,
-                         ArrayView<cfloat, 3> grid,
-                         obs::MetricsSink& sink = obs::null_sink(),
-                         const RunControl& ctl = RunControl{}) const;
-  void grid_visibilities(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                         ArrayView<const Visibility, 3> visibilities,
-                         ArrayView<const Jones, 4> aterms,
-                         ArrayView<cfloat, 3> grid,
-                         obs::MetricsSink& sink = obs::null_sink()) const {
-    grid_visibilities(plan, uvw, visibilities, FlagView{}, aterms, grid, sink);
-  }
-
- private:
-  Parameters params_;
-  const KernelSet* kernels_;
-  std::size_t nr_buffers_;
-  std::size_t nr_adder_threads_;
-  Array2D<float> taper_;
-};
-
-/// Pipelined degridding executor: each kernel stream runs splitter ->
-/// subgrid IFFT -> degridder kernel on its work group, several groups at
-/// once; results are identical to Processor::degrid_visibilities.
-class PipelinedDegridder {
- public:
-  PipelinedDegridder(Parameters params,
-                     const KernelSet& kernels = reference_kernels(),
-                     std::size_t nr_buffers = 3);
-
-  const Parameters& parameters() const { return params_; }
-
-  void degrid_visibilities(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                           ArrayView<const cfloat, 3> grid, FlagView flags,
-                           ArrayView<const Jones, 4> aterms,
-                           ArrayView<Visibility, 3> visibilities,
-                           obs::MetricsSink& sink = obs::null_sink(),
-                           const RunControl& ctl = RunControl{}) const;
-  void degrid_visibilities(const Plan& plan, ArrayView<const UVW, 2> uvw,
-                           ArrayView<const cfloat, 3> grid,
-                           ArrayView<const Jones, 4> aterms,
-                           ArrayView<Visibility, 3> visibilities,
-                           obs::MetricsSink& sink = obs::null_sink()) const {
-    degrid_visibilities(plan, uvw, grid, FlagView{}, aterms, visibilities,
-                        sink);
-  }
-
- private:
-  Parameters params_;
-  const KernelSet* kernels_;
-  std::size_t nr_buffers_;
-  Array2D<float> taper_;
-};
-
-/// The asynchronous execution backend: PipelinedGridder + PipelinedDegridder
-/// behind the unified GridderBackend interface.
-class PipelinedProcessor : public GridderBackend {
- public:
   explicit PipelinedProcessor(Parameters params,
                               const KernelSet& kernels = reference_kernels(),
                               std::size_t nr_buffers = 3,
@@ -366,30 +298,37 @@ class PipelinedProcessor : public GridderBackend {
 
   std::string name() const override { return "pipelined"; }
   const Parameters& parameters() const override {
-    return gridder_.parameters();
+    return processor_.parameters();
   }
 
   using GridderBackend::grid;
   using GridderBackend::degrid;
+  /// Grids all planned visibilities; the kernel streams and the adder
+  /// thread record their spans concurrently into `sink` (thread-safe
+  /// accumulation). Flagged / non-finite samples are scrubbed up front (on
+  /// the calling thread) per Parameters::bad_sample_policy; a stage
+  /// failure closes every queue, joins the threads and rethrows as a
+  /// descriptive idg::StageFailure. `ctl` carries the run's CancelToken
+  /// (polled before every stage in every stage thread and per poll
+  /// interval in the dispatch wait loop — a deadline abort surfaces as
+  /// CancelledError within bounded time) and the supervisor's work-group
+  /// skip mask.
   void grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
             ArrayView<const Visibility, 3> visibilities, FlagView flags,
             ArrayView<const Jones, 4> aterms, ArrayView<cfloat, 3> grid,
-            obs::MetricsSink& sink, const RunControl& ctl) const override {
-    gridder_.grid_visibilities(plan, uvw, visibilities, flags, aterms, grid,
-                               sink, ctl);
-  }
+            obs::MetricsSink& sink, const RunControl& ctl) const override;
+  /// Predicts all planned visibilities, each kernel stream running the
+  /// degrid step on its work group, several groups at once.
   void degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
               ArrayView<const cfloat, 3> grid, FlagView flags,
               ArrayView<const Jones, 4> aterms,
               ArrayView<Visibility, 3> visibilities, obs::MetricsSink& sink,
-              const RunControl& ctl) const override {
-    degridder_.degrid_visibilities(plan, uvw, grid, flags, aterms,
-                                   visibilities, sink, ctl);
-  }
+              const RunControl& ctl) const override;
 
  private:
-  PipelinedGridder gridder_;
-  PipelinedDegridder degridder_;
+  Processor processor_;
+  std::size_t nr_buffers_;
+  std::size_t nr_adder_threads_;
 };
 
 }  // namespace idg

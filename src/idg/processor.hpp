@@ -6,11 +6,16 @@
 //   gridding:    gridder kernel -> subgrid FFT -> adder
 //   degridding:  splitter -> subgrid IFFT -> degridder kernel
 //
-// The subgrid buffer is sized for one work group and reused, mirroring the
-// bounded device buffers of the paper's GPU implementation. Per-stage wall
-// times, invocation counts and analytic op/byte counters are recorded into
-// an injected obs::MetricsSink — the measurement substrate for the runtime
-// and energy distribution figures (Figs 9, 14).
+// The per-group stages exist once per direction, as the group steps
+// grid_group_subgrids and degrid_group. Every executor runs them: this
+// synchronous loop, the pipelined executor's kernel streams
+// (idg/pipelined.hpp) and the shard workers (src/shard/worker.cpp); only
+// the scheduling differs. The subgrid buffer is sized for one work group
+// and reused, mirroring the bounded device buffers of the paper's GPU
+// implementation. Per-stage wall times, invocation counts and analytic
+// op/byte counters are recorded into an injected obs::MetricsSink — the
+// measurement substrate for the runtime and energy distribution figures
+// (Figs 9, 14).
 #pragma once
 
 #include <functional>
@@ -35,6 +40,30 @@ inline constexpr const char* kSplitter = "splitter";
 inline constexpr const char* kGridFft = "grid-fft";
 inline constexpr const char* kScrub = "scrub";
 }  // namespace stage
+
+/// The site names an executor reports from a group step (DESIGN.md §11):
+/// each stage's fault-injection site, which is also the cancel check site
+/// polled right before that stage. Each executor passes its own, so a
+/// fault or a cancellation names the executor that ran the step.
+struct GridSites {
+  const char* kernel;  ///< the gridder kernel
+  const char* fft;     ///< the subgrid FFT
+  const char* buffer;  ///< corrupt target: the group's post-FFT subgrids
+};
+struct DegridSites {
+  const char* splitter;
+  const char* fft;     ///< the subgrid IFFT
+  const char* kernel;  ///< the degridder kernel
+};
+inline constexpr GridSites kProcessorGridSites{
+    "processor.grid.kernel", "processor.grid.fft", "processor.grid.buffer"};
+inline constexpr DegridSites kProcessorDegridSites{
+    "processor.degrid.splitter", "processor.degrid.fft",
+    "processor.degrid.kernel"};
+
+/// Scratch for one work group's subgrids, [work_group_size][4][n][n]: the
+/// buffer the group steps and the adder work on.
+Array4D<cfloat> make_group_subgrids(const Parameters& params);
 
 /// Third gridding stage for ONE work group: accumulates its post-FFT
 /// subgrids into `grid` in the canonical per-tile item order, under one
@@ -80,17 +109,37 @@ class Processor : public GridderBackend {
     grid_visibilities(plan, uvw, visibilities, FlagView{}, aterms, grid, sink);
   }
 
-  /// First two gridding stages for ONE work group: gridder kernel +
-  /// subgrid FFT into `subgrids` ([>= items][4][n][n]; only the group's
-  /// item count is written). `visibilities` must already be scrubbed
-  /// (scrub_gridder_input) — this is the post-scrub per-group unit the
-  /// shard workers execute remotely (src/shard/worker.cpp). Spans and
-  /// fault sites are identical to the in-process grid loop.
+  /// The kernels' inputs of one call, with this processor's taper.
+  /// Rejects an A-term raster that is not the subgrid's.
+  KernelData kernel_data(const Plan& plan, ArrayView<const UVW, 2> uvw,
+                         ArrayView<const Jones, 4> aterms) const;
+
+  /// The gridding step for ONE work group: gridder kernel + subgrid FFT
+  /// into `subgrids` ([>= items][4][n][n]; only the group's item count is
+  /// written). `visibilities` must already be scrubbed
+  /// (scrub_gridder_input). Each stage runs under one span and its stage
+  /// context, after a cancel check, at the `sites` of the calling executor.
   void grid_group_subgrids(const Plan& plan, std::size_t g,
                            const KernelData& data,
                            ArrayView<const Visibility, 3> visibilities,
                            ArrayView<cfloat, 4> subgrids,
-                           obs::MetricsSink& sink = obs::null_sink()) const;
+                           obs::MetricsSink& sink, const RunControl& ctl,
+                           const GridSites& sites) const;
+
+  /// The degridding step for ONE work group: splitter -> subgrid IFFT ->
+  /// degridder kernel through the scratch `subgrids`, overwriting the
+  /// group's entries of `visibilities`; under kZeroAndContinue it then
+  /// zeroes the group's flagged predictions and returns how many. Groups
+  /// own disjoint visibilities, so concurrent steps on different groups
+  /// never race. Spans, stage contexts and cancel checks as for
+  /// grid_group_subgrids.
+  std::uint64_t degrid_group(const Plan& plan, std::size_t g,
+                             const KernelData& data,
+                             ArrayView<const cfloat, 3> grid, FlagView flags,
+                             ArrayView<cfloat, 4> subgrids,
+                             ArrayView<Visibility, 3> visibilities,
+                             obs::MetricsSink& sink, const RunControl& ctl,
+                             const DegridSites& sites) const;
 
   /// Predicts all planned visibilities from the plane stack `grid`
   /// (overwrites the covered entries of `visibilities`; un-planned entries

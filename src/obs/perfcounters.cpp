@@ -384,18 +384,4 @@ void warm_thread_counters() {
   }
 }
 
-void PerfMetricsSink::record_hw(std::string_view stage,
-                                const HwCounters& hw) {
-  {
-    std::lock_guard lock(mutex_);
-    totals_[std::string(stage)] += hw;
-  }
-  inner_->record_hw(stage, hw);
-}
-
-std::map<std::string, HwCounters> PerfMetricsSink::hw_totals() const {
-  std::lock_guard lock(mutex_);
-  return totals_;
-}
-
 }  // namespace idg::obs

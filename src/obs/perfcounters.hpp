@@ -40,7 +40,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 
 namespace idg::obs {
 
@@ -188,44 +187,6 @@ class ScopedCounters {
  private:
   PerfCounterSession* session_;
   PerfCounterSession::RawSample begin_{};
-};
-
-/// MetricsSink decorator: forwards every record to the wrapped sink AND
-/// keeps its own per-stage HwCounters totals, so counter data survives
-/// even when the inner sink ignores record_hw (NullSink).
-/// Thread-safe like every bundled sink.
-class PerfMetricsSink final : public MetricsSink {
- public:
-  explicit PerfMetricsSink(MetricsSink& inner) : inner_(&inner) {}
-
-  void record(std::string_view stage, double seconds,
-              std::uint64_t invocations = 1) override {
-    inner_->record(stage, seconds, invocations);
-  }
-  void record_ops(std::string_view stage, const OpCounts& ops) override {
-    inner_->record_ops(stage, ops);
-  }
-  void record_bytes(std::string_view stage, std::uint64_t bytes) override {
-    inner_->record_bytes(stage, bytes);
-  }
-  void record_data_quality(std::string_view stage, std::uint64_t scrubbed,
-                           std::uint64_t skipped) override {
-    inner_->record_data_quality(stage, scrubbed, skipped);
-  }
-  void record_recovery(std::string_view stage, std::uint64_t retried,
-                       std::uint64_t quarantined,
-                       std::uint64_t failovers) override {
-    inner_->record_recovery(stage, retried, quarantined, failovers);
-  }
-  void record_hw(std::string_view stage, const HwCounters& hw) override;
-
-  /// Per-stage counter totals recorded through this decorator.
-  std::map<std::string, HwCounters> hw_totals() const;
-
- private:
-  MetricsSink* inner_;
-  mutable std::mutex mutex_;
-  std::map<std::string, HwCounters> totals_;
 };
 
 }  // namespace idg::obs

@@ -431,6 +431,16 @@ class Run {
 
   void shard_failed(std::size_t s) {
     ShardState& st = shards_[s];
+    std::uint64_t undone = 0;
+    for (std::size_t g = st.range.group_begin; g < st.range.group_end; ++g) {
+      undone += done_[g] == 0 ? 1 : 0;
+    }
+    if (undone == 0) {
+      // Every group is in (the worker failed after delivering them, or a
+      // re-run found them delivered): a re-run would yield only duplicates.
+      ++report.shards_completed;
+      return;
+    }
     ++st.failures;
     if (st.failures >= config_.max_attempts_per_shard) {
       quarantine_shard(s);
@@ -438,23 +448,21 @@ class Run {
     }
     // Rebalance: back at the FRONT so the oldest unfinished work re-runs
     // first and the merge cursor unblocks as soon as possible.
-    std::uint64_t undone = 0;
-    for (std::size_t g = st.range.group_begin; g < st.range.group_end; ++g) {
-      undone += done_[g] == 0 ? 1 : 0;
-    }
     retried_groups += undone;
     queue_.push_front(s);
     ++report.counters.shards_rebalanced;
   }
 
-  /// Kills the worker in slot `w` and, while work is queued, replaces it
-  /// in the same slot (so references to other slots stay valid).
+  /// Kills the worker in slot `w` and, while the call has groups
+  /// outstanding, replaces it in the same slot (so references to other
+  /// slots stay valid) when it held a shard or work is queued. An idle
+  /// worker's death with nothing queued leaves its slot to the next call.
   void fail_worker(WorkerProc& w, const std::string& why) {
     if (!w.live()) return;
     const std::int64_t s = w.shard;
     kill_and_reap(w);
     if (s >= 0) shard_failed(static_cast<std::size_t>(s));
-    if (remaining_ > 0 && !queue_.empty()) respawn(w, why);
+    if (remaining_ > 0 && (s >= 0 || !queue_.empty())) respawn(w, why);
   }
 
   void dispatch() {
@@ -720,8 +728,7 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   std::vector<GroupResultMsg> pending(nr_groups);
   std::vector<std::uint8_t> has_result(nr_groups, 0);
   std::size_t next_apply = 0;
-  Array4D<cfloat> subgrids(params.work_group_size,
-                           static_cast<std::size_t>(kNrPolarizations), n, n);
+  Array4D<cfloat> subgrids = make_group_subgrids(params);
   double merge_seconds = 0.0;
 
   const std::lock_guard call_lock(call_mutex_);

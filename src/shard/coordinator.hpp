@@ -17,8 +17,9 @@
 //
 //   * worker death (EOF, wire corruption, waitpid) and heartbeat timeouts
 //     (SO_RCVTIMEO mid-frame + per-worker idle deadlines) put the worker's
-//     in-flight shard back at the FRONT of the queue and respawn a
-//     replacement, bounded by max_respawns per call;
+//     in-flight shard back at the FRONT of the queue (or count it complete
+//     when none of its groups is undone) and respawn a replacement while
+//     the call has groups outstanding, bounded by max_respawns per call;
 //   * a shard failing max_attempts_per_shard times (worker-reported errors
 //     or deaths while holding it) is quarantined: its remaining groups are
 //     dropped and reported, mirroring RunControl::skip_groups semantics;

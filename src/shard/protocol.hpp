@@ -218,7 +218,7 @@ void write_group_result(int fd, const GroupResultHead& head,
 // for every later one — Parameters, the plan's parts (items shipped in
 // their final order so Plan::from_parts rebuilds it bit-identically), uvw,
 // the A-terms, the flags, the kernel-set registry name and the in-worker
-// supervision knob.
+// retry count.
 
 struct ContextMsg {
   Plan plan;

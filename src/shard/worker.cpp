@@ -11,14 +11,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "idg/processor.hpp"
 #include "idg/scrub.hpp"
-#include "idg/supervisor.hpp"
 #include "kernels/optimized.hpp"
 #include "obs/sink.hpp"
 #include "shard/protocol.hpp"
@@ -67,22 +65,36 @@ void maybe_die_at(const std::optional<TestDie>& die, std::size_t group) {
   ::raise(SIGKILL);
 }
 
+/// Runs one group's step with bounded in-worker retries, the same for
+/// grid and degrid shards: a StageFailure re-runs the group (the kernels
+/// are pure functions of their inputs, and a degrid step overwrites the
+/// group's visibilities, so the retry is bit-identical); a CancelledError
+/// is never retried, and the last attempt's failure propagates and
+/// abandons the shard.
+template <typename Step>
+void run_with_retries(std::uint32_t attempts, const Step& step) {
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    try {
+      step();
+      return;
+    } catch (const StageFailure&) {
+      if (attempt >= attempts) throw;
+    }
+  }
+}
+
 /// The decoded context and what the worker derives from it once for every
-/// call: the kernel set's Processor (and its taper), the gridder's scratch
-/// subgrids, and — built on the first degrid call — the degrid scrub, the
-/// (supervised) degrid backend and its scratch cube.
+/// call: the kernel set's Processor (and its taper), the group steps'
+/// scratch subgrids, and — built on the first degrid call — the degrid
+/// scrub and the scratch cube the degrid step writes.
 class Context {
  public:
   explicit Context(ContextMsg msg)
       : msg_(std::move(msg)),
         proc_(params(), kernels::kernel_set(msg_.kernel_set)),
-        subgrids_(params().work_group_size,
-                  static_cast<std::size_t>(kNrPolarizations),
-                  params().subgrid_size, params().subgrid_size),
-        data_{msg_.uvw.cview(), msg_.plan.wavenumbers(), msg_.aterms.cview(),
-              proc_.taper().cview()} {
-    check_aterm_raster(msg_.aterms.cview(), params().subgrid_size);
-  }
+        subgrids_(make_group_subgrids(params())),
+        data_(proc_.kernel_data(msg_.plan, msg_.uvw.cview(),
+                                msg_.aterms.cview())) {}
   Context(const Context&) = delete;  // data_ views msg_ and proc_
   Context& operator=(const Context&) = delete;
 
@@ -92,37 +104,22 @@ class Context {
   const Processor& processor() const { return proc_; }
   const KernelData& kernel_data() const { return data_; }
   ArrayView<cfloat, 4> subgrids() { return subgrids_.view(); }
+  std::uint32_t attempts() const { return msg_.worker_retries + 1; }
 
   /// The degrid half, built on first use: a context that only grids never
   /// pays for the scratch cube.
   struct Degrid {
     DegridScrub scrub;
     Array3D<Visibility> predicted;
-    /// Supervises a Processor of its own when the context asks for retries.
-    std::unique_ptr<ResilientBackend> resilient;
   };
   Degrid& degrid() {
     if (degrid_ == nullptr) {
       degrid_ = std::make_unique<Degrid>(
           Degrid{scrub_degrid_plan(params(), plan(), msg_.flag_view()),
                  Array3D<Visibility>(msg_.uvw.dim(0), msg_.uvw.dim(1),
-                                     plan().wavenumbers().size()),
-                 nullptr});
-      if (msg_.worker_retries > 0) {
-        SupervisorConfig config;
-        config.max_attempts_per_group = msg_.worker_retries + 1;
-        degrid_->resilient = std::make_unique<ResilientBackend>(
-            std::make_unique<Processor>(
-                params(), kernels::kernel_set(msg_.kernel_set)),
-            nullptr, config);
-      }
+                                     plan().wavenumbers().size())});
     }
     return *degrid_;
-  }
-  const GridderBackend& degrid_backend() {
-    Degrid& d = degrid();
-    if (d.resilient != nullptr) return *d.resilient;
-    return proc_;
   }
 
  private:
@@ -156,34 +153,23 @@ class GridCall {
     const Parameters& params = context_.params();
     IDG_CHECK(assign.group_end <= plan.nr_work_groups(),
               "shard assignment exceeds the plan's work groups");
-    RunControl caller;
-    caller.skip_groups = msg_.skip_groups;
+    RunControl ctl;
+    ctl.cancel = &token_;
+    ctl.skip_groups = msg_.skip_groups;
     const ArrayView<cfloat, 4> subgrids = context_.subgrids();
     for (std::size_t g = assign.group_begin; g < assign.group_end; ++g) {
       current = static_cast<std::int64_t>(g);
       token_.check("shard.worker.grid", current);
       GroupResultHead result{g, ResultKind::kSkipped, 0};
       std::string_view data;
-      if (!scrubbed_.group_skipped(g) && !caller.group_skipped(g)) {
+      if (!scrubbed_.group_skipped(g) && !ctl.group_skipped(g)) {
         maybe_die_at(die, g);
         const auto items = plan.work_group(g);
-        // Bounded in-worker retry: a transient StageFailure re-runs the
-        // group (the kernels are pure functions of their inputs, so the
-        // retry is bit-identical); cancellation and exhausted attempts
-        // propagate and abandon the shard.
-        const std::uint32_t attempts = context_.msg().worker_retries + 1;
-        for (std::uint32_t attempt = 0;; ++attempt) {
-          try {
-            context_.processor().grid_group_subgrids(
-                plan, g, context_.kernel_data(), scrubbed_.view(), subgrids,
-                obs::null_sink());
-            break;
-          } catch (const CancelledError&) {
-            throw;
-          } catch (const Error&) {
-            if (attempt + 1 >= attempts) throw;
-          }
-        }
+        run_with_retries(context_.attempts(), [&] {
+          context_.processor().grid_group_subgrids(
+              plan, g, context_.kernel_data(), scrubbed_.view(), subgrids,
+              obs::null_sink(), ctl, kProcessorGridSites);
+        });
         const std::size_t n = params.subgrid_size;
         result.kind = ResultKind::kSubgrids;
         result.count = items.size();
@@ -216,19 +202,22 @@ class GridCall {
   ScrubbedVisibilities scrubbed_;
 };
 
-/// One degridding call. Each shard assignment runs one supervised
-/// full-plan degrid with a skip mask enabling only the shard's groups,
-/// into the context's scratch cube; the predicted rects are then packed
-/// per group in item order (items cover disjoint rects, so the
-/// coordinator's scatter is order-insensitive and bit-identical to a
-/// single-process degrid).
+/// One degridding call. Each shard assignment runs the Processor's degrid
+/// step group by group into the context's scratch cube, under the same
+/// retries as a grid shard, and ships each group's predicted rects packed
+/// in item order (items cover disjoint rects, so the coordinator's scatter
+/// is order-insensitive and bit-identical to a single-process degrid).
 class DegridCall {
  public:
   DegridCall(Context& context, DegridCallMsg msg)
       : context_(context),
         msg_(std::move(msg)),
         token_(context.params().deadline_ms),
-        scope_(token_) {}
+        scope_(token_) {
+    // The splitter indexes the grid by the plan's items and w-planes.
+    check_grid_stack(context.params(), context.plan().items(),
+                     msg_.grid.cview());
+  }
 
   CallReadyMsg ready() {
     const DegridScrub& scrub = context_.degrid().scrub;
@@ -244,45 +233,23 @@ class DegridCall {
     Context::Degrid& degrid = context_.degrid();
     IDG_CHECK(assign.group_end <= plan.nr_work_groups(),
               "shard assignment exceeds the plan's work groups");
-    current = static_cast<std::int64_t>(assign.group_begin);
-    RunControl caller;
-    caller.skip_groups = msg_.skip_groups;
-
-    if (die && die->group >= static_cast<std::int64_t>(assign.group_begin) &&
-        die->group < static_cast<std::int64_t>(assign.group_end)) {
-      maybe_die_at(die, static_cast<std::size_t>(die->group));
-    }
-
-    // Enable only this shard's (non-skipped) groups.
-    std::vector<std::uint8_t> mask(plan.nr_work_groups(), 1);
-    for (std::size_t g = assign.group_begin; g < assign.group_end; ++g) {
-      mask[g] = caller.group_skipped(g) ? 1 : 0;
-    }
     RunControl ctl;
     ctl.cancel = &token_;
-    ctl.skip_groups = mask;
-    if (degrid.resilient != nullptr) degrid.resilient->reset_report();
-    context_.degrid_backend().degrid(
-        plan, context_.msg().uvw.cview(), msg_.grid.cview(),
-        context_.msg().flag_view(), context_.msg().aterms.cview(),
-        degrid.predicted.view(), obs::null_sink(), ctl);
-    if (degrid.resilient != nullptr &&
-        !degrid.resilient->report().quarantined.empty()) {
-      // A group the in-worker supervisor had to quarantine must not be
-      // silently dropped from the result: fail the shard and let the
-      // coordinator's rebalance/quarantine bookkeeping own the decision.
-      throw Error(
-          "worker exhausted retries on " +
-          std::to_string(degrid.resilient->report().quarantined.size()) +
-          " group(s) of shard " + std::to_string(assign.shard));
-    }
-
+    ctl.skip_groups = msg_.skip_groups;
     for (std::size_t g = assign.group_begin; g < assign.group_end; ++g) {
       current = static_cast<std::int64_t>(g);
       token_.check("shard.worker.degrid", current);
       GroupResultHead result{g, ResultKind::kSkipped, 0};
       packed_.clear();
-      if (!degrid.scrub.group_skipped(g) && !caller.group_skipped(g)) {
+      if (!degrid.scrub.group_skipped(g) && !ctl.group_skipped(g)) {
+        maybe_die_at(die, g);
+        run_with_retries(context_.attempts(), [&] {
+          context_.processor().degrid_group(
+              plan, g, context_.kernel_data(), msg_.grid.cview(),
+              context_.msg().flag_view(), context_.subgrids(),
+              degrid.predicted.view(), obs::null_sink(), ctl,
+              kProcessorDegridSites);
+        });
         result.kind = ResultKind::kVisibilities;
         // Each (item, timestep) row of channels is contiguous in the cube.
         for (const WorkItem& item : plan.work_group(g)) {

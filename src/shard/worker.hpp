@@ -9,12 +9,12 @@
 //     decoded once and kept until the next context replaces it;
 //   * a call (skip mask plus visibilities or grid), acknowledged with the
 //     call's scrub report;
-//   * shard assignments of the current call, executed group by group —
+//   * shard assignments of the current call, executed group by group
+//     through the Processor's group steps, each with bounded retries —
 //     gridding ships each group's post-FFT subgrids back straight from its
 //     scratch buffer (the adder runs only in the coordinator, in ascending
 //     group order, keeping the grid bit-identical to a single-process run),
-//     degridding runs a supervised backend over the shard's groups and
-//     ships the predicted rects.
+//     degridding ships each group's predicted rects.
 // The worker exits 0 when the coordinator closes its channel.
 //
 // Workers re-arm fault injection first thing (Injector::rearm_for_worker):

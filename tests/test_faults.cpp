@@ -179,6 +179,23 @@ TEST(PipelineErrorTest, FirstFailureWinsAndRethrowsWithContext) {
   }
 }
 
+TEST(PipelineErrorTest, StoredStageFailureRethrowsUnchanged) {
+  // A Processor group step already names its stage and group: the kernel
+  // streams' failure state must not wrap it in a second prefix.
+  PipelineError error;
+  const StageFailure failure(
+      "stage 'degridder' failed on work group 4: kernel died", "degridder", 4);
+  error.set("splitter", 2, std::make_exception_ptr(failure));
+  try {
+    error.rethrow_if_failed();
+    FAIL() << "expected idg::StageFailure";
+  } catch (const StageFailure& e) {
+    EXPECT_STREQ(e.what(), failure.what());
+    EXPECT_EQ(e.site(), "degridder");
+    EXPECT_EQ(e.group(), 4);
+  }
+}
+
 // --- 2. flagged / corrupt-data policies -------------------------------------
 
 TEST(BadSamplePolicyTest, RejectThrowsDescriptivelyOnFlaggedSample) {

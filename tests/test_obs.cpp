@@ -473,33 +473,6 @@ TEST(PerfCountersTest, ScopedCountersNoopWithoutSession) {
   obs::warm_thread_counters();  // no-op, must not crash
 }
 
-TEST(PerfCountersTest, PerfMetricsSinkForwardsAndAggregates) {
-  obs::AggregateSink inner;
-  obs::PerfMetricsSink sink(inner);
-  sink.record("gridder", 1.5);
-  sink.record_ops("gridder", OpCounts{});
-  obs::HwCounters hw;
-  hw.samples = 1;
-  hw.instructions = 7;
-  sink.record_hw("gridder", hw);
-  sink.record_hw("gridder", hw);
-
-  // Forwarded into the wrapped sink...
-  const auto snap = inner.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("gridder").seconds, 1.5);
-  EXPECT_EQ(snap.at("gridder").hw.samples, 2u);
-  // ...and aggregated by the decorator itself (survives inner sinks that
-  // ignore record_hw, e.g. NullSink).
-  const auto totals = sink.hw_totals();
-  ASSERT_EQ(totals.count("gridder"), 1u);
-  EXPECT_EQ(totals.at("gridder").samples, 2u);
-  EXPECT_EQ(totals.at("gridder").instructions, 14u);
-
-  obs::PerfMetricsSink null_wrapped(obs::null_sink());
-  null_wrapped.record_hw("adder", hw);
-  EXPECT_EQ(null_wrapped.hw_totals().at("adder").instructions, 7u);
-}
-
 TEST(PerfCountersTest, ProbeReportsParanoidLevelAndNamedReason) {
   const obs::PerfProbe probe = obs::probe_perf_counters();
   EXPECT_FALSE(probe.detail.empty());

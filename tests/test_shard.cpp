@@ -679,6 +679,34 @@ TEST(ShardFailureTest, PoisonGroupQuarantinesItsShardLikeASkipMask) {
   EXPECT_EQ(report.quarantined_shards.front(), 2u);
 }
 
+TEST(ShardFailureTest, PoisonDegridGroupQuarantinesItsShardLikeASkipMask) {
+  SKIP_WITHOUT_INJECTION();
+  const auto s = Setup::make();
+  ASSERT_GT(s.plan.nr_work_groups(), 3u);
+  const Processor reference(s.params);
+  const auto grid = s.grid_with(reference);
+  // The degrid twin of the case above: group 2's degridder fails in every
+  // worker attempt, so the in-worker retry gives up and its one-group
+  // shard is quarantined after two attempts.
+  EnvGuard fault("IDG_FAULT_WORKER", "processor.degrid.kernel@2=throw");
+  shard::ShardConfig sc = config_for(2, s.plan.nr_work_groups());
+  sc.worker_retries = 1;
+  sc.max_attempts_per_shard = 2;
+  shard::ShardedBackend sharded(s.params, sc);
+  const auto got = s.degrid_with(sharded, grid);
+
+  std::vector<std::uint8_t> skip(s.plan.nr_work_groups(), 0);
+  skip[2] = 1;
+  RunControl ctl;
+  ctl.skip_groups = skip;
+  const auto expected = s.degrid_with(reference, grid, obs::null_sink(), ctl);
+  EXPECT_TRUE(bit_identical(expected, got));
+
+  const auto report = sharded.report();
+  EXPECT_EQ(report.groups_quarantined, 1u);
+  EXPECT_EQ(report.counters.shards_quarantined, 1u);
+}
+
 TEST(ShardFailureTest, CoordinatorSideProtocolFaultsTakeTheRecoveryPath) {
   SKIP_WITHOUT_INJECTION();
   const auto s = Setup::make();
@@ -956,9 +984,9 @@ TEST(ShardPoolTest, ReRunStillInFlightNeverReachesTheNextCall) {
 
   if (fault::compiled_in()) {
     // The coordinator's first read of a shard-done frame fails, so that
-    // worker counts as dead although it delivered its whole shard: the
-    // shard re-runs as nothing but duplicates, most likely still running
-    // when the other worker's last group lands.
+    // worker counts as dead although it delivered its whole shard, most
+    // likely while the other worker is still running. Its slot is refilled
+    // within the call.
     DisarmGuard disarm_guard;
     fault::Injector::instance().arm_from_spec(
         "shard.protocol.read@" +
@@ -966,7 +994,12 @@ TEST(ShardPoolTest, ReRunStillInFlightNeverReachesTheNextCall) {
         "=throw:1");
     shard::ShardedBackend sharded(s.params, config_for(2, 2));
     EXPECT_TRUE(bit_identical(expected_grid, s.grid_with(sharded)));
-    EXPECT_EQ(sharded.report().counters.workers_respawned, 1u);
+    const auto report = sharded.report();
+    EXPECT_EQ(report.counters.workers_respawned, 1u);
+    // Nothing of the shard was left undone, so it counts as complete and
+    // is not dispatched again.
+    EXPECT_EQ(report.counters.shards_dispatched, 2u);
+    EXPECT_EQ(report.counters.shards_rebalanced, 0u);
     check_later_calls(sharded);
   }
 }

@@ -467,11 +467,11 @@ TEST(PipelinedTest, MatchesSynchronousProcessorExactly) {
   sync.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
                          aterms.cview(), grid_sync.view());
 
-  PipelinedGridder async(params, reference_kernels(), 3);
+  PipelinedProcessor async(params, reference_kernels(), 3);
   Array3D<cfloat> grid_async(4, params.grid_size, params.grid_size);
   obs::AggregateSink sink;
-  async.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                          aterms.cview(), grid_async.view(), sink);
+  async.grid(plan, ds.uvw.cview(), ds.visibilities.cview(), aterms.cview(),
+             grid_async.view(), sink);
 
   // Same kernels, same group order, same accumulation order: bit-identical.
   for (std::size_t i = 0; i < grid_sync.size(); ++i) {
@@ -501,10 +501,10 @@ TEST(PipelinedTest, WorksWithMoreBuffersThanGroups) {
   auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
                                           cfg.subgrid_size);
 
-  PipelinedGridder async(params, reference_kernels(), 8);
+  PipelinedProcessor async(params, reference_kernels(), 8);
   Array3D<cfloat> grid(4, params.grid_size, params.grid_size);
-  async.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                          aterms.cview(), grid.view());
+  async.grid(plan, ds.uvw.cview(), ds.visibilities.cview(), aterms.cview(),
+             grid.view());
   double total = 0.0;
   for (const auto& v : grid) total += std::abs(v);
   EXPECT_GT(total, 0.0);
@@ -542,12 +542,12 @@ TEST(PipelinedTest, DegridderMatchesSynchronousProcessorExactly) {
   sync.degrid_visibilities(plan, ds.uvw.cview(), grid.cview(),
                            aterms.cview(), vis_sync.view());
 
-  PipelinedDegridder async(params, reference_kernels(), 3);
+  PipelinedProcessor async(params, reference_kernels(), 3);
   Array3D<Visibility> vis_async(ds.nr_baselines(), ds.nr_timesteps(),
                                 ds.nr_channels());
   obs::AggregateSink sink;
-  async.degrid_visibilities(plan, ds.uvw.cview(), grid.cview(),
-                            aterms.cview(), vis_async.view(), sink);
+  async.degrid(plan, ds.uvw.cview(), grid.cview(), aterms.cview(),
+               vis_async.view(), sink);
 
   for (std::size_t i = 0; i < vis_sync.size(); ++i) {
     for (int p = 0; p < kNrPolarizations; ++p) {
@@ -723,8 +723,7 @@ TEST(PipelinedTest, RejectsSingleBuffer) {
   params.subgrid_size = 16;
   params.image_size = 0.01;
   params.nr_stations = 2;
-  EXPECT_THROW(PipelinedGridder(params, reference_kernels(), 1), Error);
-  EXPECT_THROW(PipelinedDegridder(params, reference_kernels(), 1), Error);
+  EXPECT_THROW(PipelinedProcessor(params, reference_kernels(), 1), Error);
 }
 
 }  // namespace
