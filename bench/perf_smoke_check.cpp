@@ -1,24 +1,16 @@
-// CI perf-smoke gate, two modes:
+// CI perf-smoke gate:
 //
 //   perf_smoke_check <current.json> <baseline.json>
-//       Compares the adder wall time of a fresh bench_fig09_runtime --json
-//       export against the checked-in baseline
-//       (bench/perf_smoke_baseline.json) and fails when the adder regressed
-//       more than 2x. An absolute noise floor keeps the tiny CI problem
-//       (adder in the low milliseconds) from flaking on scheduler jitter or
-//       a slower runner: a run only fails when it is BOTH >2x the baseline
-//       AND above the floor.
 //
-//   perf_smoke_check --tuned <autotune.json>
-//       Reads a bench_autotune --json report (idg-autotune/v1) and asserts
-//       that for every operation the autotuned winner is at least as fast as
-//       the "optimized" baseline measured in the same run
-//       (winner_seconds <= optimized_seconds, tiny print-precision slack).
-//       The tuner always measures "optimized" itself, so a winner can never
-//       legitimately be slower — a violation means the selection logic broke.
+// Compares the adder wall time of a fresh bench_fig09_runtime --json export
+// against the checked-in baseline (bench/perf_smoke_baseline.json) and
+// fails when the adder regressed more than 2x. An absolute noise floor
+// keeps the tiny CI problem (adder in the low milliseconds) from flaking on
+// scheduler jitter or a slower runner: a run only fails when it is BOTH >2x
+// the baseline AND above the floor.
 //
-// The inputs are idg-obs / idg-autotune exports; the fields are extracted
-// with a minimal string scan so the checker has no dependencies.
+// The input is an idg-obs export; the fields are extracted with a minimal
+// string scan so the checker has no dependencies.
 #include <cstddef>
 #include <fstream>
 #include <iostream>
@@ -58,96 +50,11 @@ bool stage_seconds(const std::string& json, const std::string& stage,
   return true;
 }
 
-/// Extracts the numeric value following `"key": ` at or after `from`;
-/// returns npos on failure, else the position just past the key.
-std::size_t scan_number(const std::string& json, const std::string& key,
-                        std::size_t from, double& out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos) return std::string::npos;
-  try {
-    out = std::stod(json.substr(pos + needle.size()));
-  } catch (...) {
-    return std::string::npos;
-  }
-  return pos + needle.size();
-}
-
-/// Extracts the string value following `"key": "` at or after `from`.
-std::size_t scan_string(const std::string& json, const std::string& key,
-                        std::size_t from, std::string& out) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos) return std::string::npos;
-  const std::size_t begin = pos + needle.size();
-  const std::size_t end = json.find('"', begin);
-  if (end == std::string::npos) return std::string::npos;
-  out = json.substr(begin, end - begin);
-  return end;
-}
-
-/// --tuned mode: every result in the idg-autotune/v1 report must have
-/// winner_seconds <= optimized_seconds (the winner ranking includes the
-/// optimized baseline, so equality is the worst legitimate outcome).
-int check_tuned(const std::string& path) {
-  std::string json;
-  if (!read_file(path, json)) {
-    std::cerr << "perf-smoke: cannot read autotune report '" << path << "'\n";
-    return 2;
-  }
-  if (json.find("\"idg-autotune/v1\"") == std::string::npos) {
-    std::cerr << "perf-smoke: '" << path
-              << "' is not an idg-autotune/v1 report\n";
-    return 2;
-  }
-  // %.17g round-trips doubles exactly, but leave a hair of slack anyway.
-  constexpr double kSlack = 1e-12;
-  int checked = 0;
-  std::size_t pos = 0;
-  while (true) {
-    std::string op;
-    const std::size_t op_end = scan_string(json, "op", pos, op);
-    if (op_end == std::string::npos) break;
-    std::string winner;
-    double winner_seconds = 0.0, optimized_seconds = 0.0;
-    if (scan_string(json, "winner", op_end, winner) == std::string::npos ||
-        scan_number(json, "winner_seconds", op_end, winner_seconds) ==
-            std::string::npos ||
-        (pos = scan_number(json, "optimized_seconds", op_end,
-                           optimized_seconds)) == std::string::npos) {
-      std::cerr << "perf-smoke: malformed autotune result (op " << op
-                << ")\n";
-      return 2;
-    }
-    const double speedup =
-        winner_seconds > 0.0 ? optimized_seconds / winner_seconds : 0.0;
-    std::cout << "perf-smoke tuned " << op << ": winner " << winner << " "
-              << winner_seconds << " s vs optimized " << optimized_seconds
-              << " s (" << speedup << "x)\n";
-    if (winner_seconds > optimized_seconds * (1.0 + kSlack)) {
-      std::cerr << "perf-smoke: tuned winner '" << winner << "' for " << op
-                << " is SLOWER than optimized — failing\n";
-      return 1;
-    }
-    ++checked;
-  }
-  if (checked == 0) {
-    std::cerr << "perf-smoke: no results in autotune report\n";
-    return 2;
-  }
-  std::cout << "perf-smoke: OK (" << checked << " ops, tuned >= optimized)\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[1]) == "--tuned") {
-    return check_tuned(argv[2]);
-  }
   if (argc != 3) {
-    std::cerr << "usage: " << argv[0]
-              << " <current.json> <baseline.json> | --tuned <autotune.json>\n";
+    std::cerr << "usage: " << argv[0] << " <current.json> <baseline.json>\n";
     return 2;
   }
   std::string current_json, baseline_json;

@@ -3,7 +3,8 @@
 // These are the bulk data containers of the reproduction: visibility cubes
 // ([baseline][time][channel]), subgrid stacks ([subgrid][pol][y][x]) and the
 // master grid ([pol][y][x]). They provide:
-//  * 64-byte aligned storage (AlignedVector) for the SIMD kernels,
+//  * 64-byte aligned storage for the SIMD kernels, zeroed unless the
+//    caller asks for it uninitialised,
 //  * bounds-checked element access via operator() (checks compiled to
 //    IDG_ASSERT so hot loops can index through raw pointers instead),
 //  * cheap non-owning views for passing slices into kernels.
@@ -14,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
@@ -26,7 +29,31 @@ inline std::size_t product(const std::array<std::size_t, Rank>& dims) {
   return std::accumulate(dims.begin(), dims.end(), std::size_t{1},
                          std::multiplies<>());
 }
+
+/// The aligned allocator without value-initialisation: a vector of n
+/// elements is left as allocated, and Array zeroes it unless asked not to.
+/// Copies still construct (allocator_traits falls back to placement new).
+template <typename T>
+struct RawAllocator : AlignedAllocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = RawAllocator<U>;
+  };
+  RawAllocator() noexcept = default;
+  template <typename U>
+  RawAllocator(const RawAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U*) noexcept {}
+};
 }  // namespace detail
+
+/// Tag for Array's constructors that leave the elements uninitialised, for
+/// buffers the caller overwrites entirely before reading them.
+struct Uninitialized {
+  explicit Uninitialized() = default;
+};
+inline constexpr Uninitialized kUninitialized{};
 
 /// Non-owning view over a contiguous row-major Rank-dimensional array.
 template <typename T, std::size_t Rank>
@@ -74,20 +101,32 @@ class ArrayView {
   std::array<std::size_t, Rank> dims_{};
 };
 
-/// Owning row-major Rank-dimensional array with aligned, zero-initialized
-/// storage.
+/// Owning row-major Rank-dimensional array with aligned storage, zeroed
+/// by the calling thread unless constructed with kUninitialized.
 template <typename T, std::size_t Rank>
 class Array {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "uninitialised storage needs trivially copyable elements");
+
  public:
   Array() : dims_{} {}
 
   explicit Array(std::array<std::size_t, Rank> dims)
+      : Array(kUninitialized, dims) {
+    zero();
+  }
+  Array(Uninitialized, std::array<std::size_t, Rank> dims)
       : dims_(dims), storage_(detail::product(dims)) {}
 
   template <typename... Dims>
     requires(sizeof...(Dims) == Rank)
   explicit Array(Dims... dims)
       : Array(std::array<std::size_t, Rank>{static_cast<std::size_t>(dims)...}) {}
+  template <typename... Dims>
+    requires(sizeof...(Dims) == Rank)
+  Array(Uninitialized tag, Dims... dims)
+      : Array(tag, std::array<std::size_t, Rank>{
+                       static_cast<std::size_t>(dims)...}) {}
 
   std::size_t size() const { return storage_.size(); }
   std::size_t dim(std::size_t i) const { return dims_[i]; }
@@ -121,7 +160,7 @@ class Array {
 
  private:
   std::array<std::size_t, Rank> dims_;
-  AlignedVector<T> storage_;
+  std::vector<T, detail::RawAllocator<T>> storage_;
 };
 
 template <typename T>

@@ -23,9 +23,12 @@
 // So gridding and degridding forward to the synchronous Processor, with
 // its scrub policy, deadlines, cancellation, fault sites and moved-byte
 // accounting; this class adds the plan's plane assignment and the
-// plane-combination image transforms. Those run as fused, row-parallel
-// passes that keep no state between calls and give the same bits as
-// transforming, screening and summing plane by plane (DESIGN.md §9).
+// plane-combination image transforms. Those are image.hpp's transform pair
+// with this processor's w screens: the screens (a quarter raster per
+// plane, 1/16 of a plane stack) and the taper correction are built once,
+// in the constructor, and every call runs one parallel loop of
+// (plane, polarisation) tasks that gives the same bits as transforming,
+// screening and summing plane by plane (DESIGN.md §9).
 #pragma once
 
 #include "common/array.hpp"
@@ -55,7 +58,7 @@ class WStackProcessor {
                  const std::vector<double>& frequencies,
                  const std::vector<Baseline>& baselines) const;
 
-  /// Allocates the plane-grid stack: [nr_planes][4][grid][grid].
+  /// Allocates the zeroed plane-grid stack: [nr_planes][4][grid][grid].
   Array4D<cfloat> make_grids() const;
 
   /// Grids all planned visibilities onto the plane stack; per-stage wall
@@ -87,6 +90,8 @@ class WStackProcessor {
  private:
   WPlaneModel wplanes_;
   Processor processor_;
+  Array3D<cfloat> screens_;   ///< make_screen_table of the planes
+  Array2D<float> correction_;  ///< make_taper_correction_for(parameters())
 };
 
 }  // namespace idg

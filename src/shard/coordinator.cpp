@@ -25,6 +25,7 @@
 #include "common/error.hpp"
 #include "idg/accounting.hpp"
 #include "idg/processor.hpp"
+#include "idg/scrub.hpp"
 #include "kernels/optimized.hpp"
 #include "shard/planner.hpp"
 #include "shard/protocol.hpp"
@@ -719,6 +720,11 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   const RunControl& ctl = scoped.ctl();
   const std::size_t n = params.subgrid_size;
   check_aterm_raster(aterms, n);
+  // Under kReject a bad sample raises the synchronous executor's named
+  // error here, before anything is shipped: a worker that raised it would
+  // exit, and the pool would respawn it until the respawn limit.
+  if (params.bad_sample_policy == BadSamplePolicy::kReject)
+    scrub_gridder_input(params, plan, visibilities, flags, ctl.cancel);
   const auto t0 = Clock::now();
 
   // In-order merge state: results park in `pending` until every earlier
@@ -793,6 +799,10 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   const ScopedRunControl scoped(ctl_in, params.deadline_ms);
   const RunControl& ctl = scoped.ctl();
   check_aterm_raster(aterms, params.subgrid_size);
+  // As in grid(): a flagged planned sample under kReject fails here.
+  if (params.bad_sample_policy == BadSamplePolicy::kReject &&
+      flags.size() != 0)
+    scrub_degrid_plan(params, plan, flags);
   const auto t0 = Clock::now();
 
   double merge_seconds = 0.0;

@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -607,6 +608,60 @@ TEST(ShardedParityTest, ScrubMetricsMatchTheSingleProcessRun) {
   ASSERT_NE(b.find("shard"), b.end());
   EXPECT_EQ(b.at("shard").shard.workers_spawned, 2u);
   EXPECT_GE(b.at("shard").shard.shards_dispatched, 1u);
+}
+
+TEST(ShardedParityTest, RejectedSampleRaisesTheNamedErrorWithoutRespawns) {
+  // Under bad_sample_policy=reject the coordinator scrubs before it ships
+  // the call, so a bad sample raises the synchronous executor's error by
+  // name instead of making every worker exit and respawn.
+  auto s = Setup::make(BadSamplePolicy::kReject);
+  const WorkItem& item = s.plan.items().front();
+  const auto b = static_cast<std::size_t>(item.baseline);
+  const auto t = static_cast<std::size_t>(item.time_begin);
+  const auto c = static_cast<std::size_t>(item.channel_begin);
+  const Processor reference(s.params);
+  shard::ShardedBackend sharded(s.params, config_for(2));
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto expect_same_error = [&](const auto& call_on) {
+    const std::string expected = message_of([&] { call_on(reference); });
+    ASSERT_NE(expected.find("bad_sample_policy=reject"), std::string::npos)
+        << expected;
+    EXPECT_EQ(message_of([&] { call_on(sharded); }), expected);
+  };
+  const auto grid_on = [&](const GridderBackend& backend) {
+    s.grid_with(backend);
+  };
+  const Array3D<cfloat> grid(s.planes * kNrPolarizations, s.params.grid_size,
+                             s.params.grid_size);
+  const auto degrid_on = [&](const GridderBackend& backend) {
+    s.degrid_with(backend, grid);
+  };
+
+  // One flagged planned sample, for both directions.
+  const auto& vis = s.ds.visibilities;
+  s.ds.flags = Array3D<std::uint8_t>(vis.dim(0), vis.dim(1), vis.dim(2));
+  s.ds.flags(b, t, c) = 1;
+  expect_same_error(grid_on);
+  expect_same_error(degrid_on);
+
+  // One NaN sample and no mask.
+  s.ds.flags = Array3D<std::uint8_t>();
+  const Visibility good = s.ds.visibilities(b, t, c);
+  s.ds.visibilities(b, t, c).xx = cfloat(std::nanf(""), 0.0f);
+  expect_same_error(grid_on);
+  EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
+
+  // The backend still grids clean data bit-identically.
+  s.ds.visibilities(b, t, c) = good;
+  EXPECT_TRUE(bit_identical(s.grid_with(reference), s.grid_with(sharded)));
+  EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
 }
 
 // --- 4. failure model --------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "fft/fft.hpp"
 #include "idg/image.hpp"
 #include "idg/pipelined.hpp"
 #include "idg/plan.hpp"
@@ -398,6 +399,111 @@ TEST(WStackCombineTest, MatchesThePerPlaneLoopByteForByte) {
                               model_grids.bytes()),
                   0);
       }
+    }
+  }
+}
+
+TEST(WStackCombineTest, RepeatedCallsOnAnyTeamMatchThePerPlaneLoop) {
+  // The screens and the correction are built once, by the constructor's
+  // team: a second call must see the same tables, and teams of 2 and 3
+  // threads (fewer than the four polarisations), or of a size other than
+  // the constructor's, must give the same bits.
+  const WPlaneModel wplanes(5, 2000.0);
+  for (const std::size_t g : {std::size_t{64}, std::size_t{75}}) {
+    const WStackProcessor reference(combination_params(g), wplanes);
+    Array4D<cfloat> grids = reference.make_grids();
+    fill_random(grids, static_cast<unsigned>(g) + 7);
+    Array3D<cfloat> model(kNrPolarizations, g, g);
+    fill_random(model, static_cast<unsigned>(g) + 11);
+    const std::uint64_t nr_vis = 777;
+    const Array3D<cfloat> dirty_ref =
+        per_plane_dirty_image(reference, grids, nr_vis);
+    const Array4D<cfloat> model_ref = per_plane_model_grids(reference, model);
+    for (const int built_on : {1, 3}) {
+      const auto proc = [&] {
+        const ScopedThreads team(built_on);
+        return WStackProcessor(combination_params(g), wplanes);
+      }();
+      for (const int threads : {2, 3, 4}) {
+        const ScopedThreads team(threads);
+        for (int call = 0; call < 2; ++call) {
+          SCOPED_TRACE("grid " + std::to_string(g) + ", built on " +
+                       std::to_string(built_on) + ", " +
+                       std::to_string(threads) + " thread(s), call " +
+                       std::to_string(call));
+          const Array3D<cfloat> dirty =
+              proc.make_dirty_image(grids.cview(), nr_vis);
+          EXPECT_EQ(
+              std::memcmp(dirty.data(), dirty_ref.data(), dirty.bytes()), 0);
+          const Array4D<cfloat> model_grids =
+              proc.model_image_to_grids(model);
+          EXPECT_EQ(std::memcmp(model_grids.data(), model_ref.data(),
+                                model_grids.bytes()),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+TEST(WStackCombineTest, MakeGridsIsZeroEvenOnReusedMemory) {
+  // make_grids zeroes its stack itself, so memory the allocator hands back
+  // from an earlier, filled stack of the same size must come out zero.
+  const ScopedThreads team(3);
+  WStackProcessor proc(combination_params(64), WPlaneModel(8, 2000.0));
+  for (int i = 0; i < 4; ++i) {
+    Array4D<cfloat> grids = proc.make_grids();
+    EXPECT_TRUE(std::all_of(grids.begin(), grids.end(),
+                            [](const cfloat& v) { return v == cfloat{}; }))
+        << "stack " << i;
+    std::fill(grids.begin(), grids.end(), cfloat(1.0f, -1.0f));
+    // The stack is freed next; keep the fill that the next one may reuse.
+    asm volatile("" : : "r"(grids.data()) : "memory");
+  }
+}
+
+TEST(ImageTransformTest, OnePlaneTransformsMatchAReferenceLoopByteForByte) {
+  // The one-plane transforms are the no-screen case of the plane tasks; per
+  // polarisation they must still be a copy, a centred FFT and scale x
+  // correction (dirty image), or correction then the FFT (model grid).
+  for (const std::size_t g : {std::size_t{64}, std::size_t{75}}) {
+    const Parameters params = combination_params(g);
+    Array3D<cfloat> grid(kNrPolarizations, g, g);
+    fill_random(grid, static_cast<unsigned>(g) + 3);
+    Array3D<cfloat> model(kNrPolarizations, g, g);
+    fill_random(model, static_cast<unsigned>(g) + 5);
+    const std::uint64_t nr_vis = 1234;
+
+    const Array2D<float> correction = make_taper_correction_for(params);
+    const float scale =
+        static_cast<float>(1.0 / static_cast<double>(nr_vis));
+    fft::Workspace<float> ws;
+    Array3D<cfloat> dirty_ref(kNrPolarizations, g, g);
+    Array3D<cfloat> grid_ref(kNrPolarizations, g, g);
+    for (std::size_t pol = 0; pol < kNrPolarizations; ++pol) {
+      std::copy_n(&grid(pol, 0, 0), g * g, &dirty_ref(pol, 0, 0));
+      fft::cached_plan2d<float>(g, fft::Direction::Backward)
+          .execute_centred(&dirty_ref(pol, 0, 0), ws);
+      for (std::size_t y = 0; y < g; ++y)
+        for (std::size_t x = 0; x < g; ++x)
+          dirty_ref(pol, y, x) *= scale * correction(y, x);
+      for (std::size_t y = 0; y < g; ++y)
+        for (std::size_t x = 0; x < g; ++x)
+          grid_ref(pol, y, x) = model(pol, y, x) * correction(y, x);
+      fft::cached_plan2d<float>(g, fft::Direction::Forward)
+          .execute_centred(&grid_ref(pol, 0, 0), ws);
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("grid " + std::to_string(g) + ", " +
+                   std::to_string(threads) + " thread(s)");
+      const ScopedThreads team(threads);
+      const Array3D<cfloat> dirty = make_dirty_image(grid, nr_vis, params);
+      EXPECT_EQ(std::memcmp(dirty.data(), dirty_ref.data(), dirty.bytes()),
+                0);
+      const Array3D<cfloat> model_grid = model_image_to_grid(model, params);
+      EXPECT_EQ(std::memcmp(model_grid.data(), grid_ref.data(),
+                            model_grid.bytes()),
+                0);
     }
   }
 }
